@@ -11,13 +11,15 @@ from .cohomology import (
     c0_basis,
     coboundary_matrix,
     cohomology_dim,
+    cohomology_dims,
     derivation_spaces,
-    reduced_cohomology_dim,
+    reduced_cohomology_dims,
     reduced_slice,
     staircase_coboundary,
 )
 from .core import (
     CompatiblePair,
+    InternalCheckError,
     LieBracket,
     RepPair,
     Verdict,
@@ -70,6 +72,7 @@ __all__ = [
     "CompatiblePair",
     "DeformationDatum",
     "ExtensionDatum",
+    "InternalCheckError",
     "LieBracket",
     "Matrix",
     "ParseError",
@@ -87,6 +90,7 @@ __all__ = [
     "coboundary_matrix",
     "cocycles_cohomologous",
     "cohomology_dim",
+    "cohomology_dims",
     "deformations_equivalent",
     "deformed_pair",
     "derivation_spaces",
@@ -107,7 +111,7 @@ __all__ = [
     "pencil",
     "rank",
     "reduced_bihamiltonian_dims",
-    "reduced_cohomology_dim",
+    "reduced_cohomology_dims",
     "reduced_slice",
     "render",
     "staircase_coboundary",

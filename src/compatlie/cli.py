@@ -31,7 +31,6 @@ from . import cohomology as coh
 from .core import (
     CompatiblePair,
     Verdict,
-    adjoint_rep,
     pencil,
     validate_bracket,
     validate_pair,
@@ -215,31 +214,16 @@ def _cmd_cohomology(doc: AlgebraDocument, args, report: Report):
         v = validate_rep(pair, rep)
         if not v.ok:
             raise VerdictFailure("representation", v)
-    m = doc.dim if rep is None else rep.module_dim
     rows = []
-    for n in range(args.max_degree + 1):
-        space = (
-            len(coh.c0_basis(pair, rep))
-            if n == 0
-            else coh.tuple_space_dim(n, doc.dim, m)
-        )
-        h_dim, reps = coh.cohomology_dim(pair, rep, n)
+    for n, (space, h_dim, reps) in enumerate(
+        coh.cohomology_dims(pair, rep, args.max_degree)
+    ):
         rows.append({"degree": n, "space_dim": space, "h_dim": h_dim})
         report.representatives(f"H{n}", reps.vectors)
     report.table("cohomology", rows)
     if args.reduced:
-        if rep is None:
-            rep = adjoint_rep(pair)
-        rrows = []
-        for n in range(args.max_degree + 1):
-            sl = coh.reduced_slice(pair, rep, n)
-            rrows.append(
-                {
-                    "degree": n,
-                    "space_dim": len(sl.basis),
-                    "h_dim": coh.reduced_cohomology_dim(pair, rep, n),
-                }
-            )
+        dims = coh.reduced_cohomology_dims(pair, rep, args.max_degree)
+        rrows = [{"degree": n, "space_dim": s, "h_dim": h} for n, (s, h) in enumerate(dims)]
         report.table("reduced", rrows)
 
 

@@ -6,27 +6,26 @@ actions agree.  The coboundary is the staircase
 
     D(w_1..w_n) = (d1 w_1, .., d2 w_{i-1} + d1 w_i, .., d2 w_n)
 
-where d1, d2 are the coboundary operators of the two brackets (with their
-coefficient actions).  For adjoint coefficients the operator is written with
-plain bracket arms [pi_i, -]_NR and a global sign (-1)^(n-1); since
-d^n_pi = (-1)^(n-1)[pi, -]_NR the two flavours agree entry by entry, and a
-test pins that.  The sign never changes kernels, images or dimensions.
+where the arms d1, d2 are the coefficient coboundaries of the two brackets
+(`ce_coboundary`); every matrix here is assembled from their single-copy
+matrices (`ce_matrix`).  Adjoint coefficients (rep=None) are the module
+`adjoint_rep(pair)`; the Nijenhuis-Richardson form (-1)^(n-1)[pi, -]_NR of
+the same arm (`ce_adjoint`) is a test reference.
 
 Flattening order, fixed for reproducible matrices: component index is the
 outer (slowest) index, then the lexicographic subset, then the target index.
 
-The reduced complex is the kernel of the first-bracket coboundary inside the
-single-copy cochain space, carrying the second-bracket coboundary.
+The reduced complex is ker d1 inside the single-copy cochain space, carrying
+d2.  Its dimensions come from ranks: with Z_n = dim(ker d1 & ker d2) and
+K_n = dim ker d1 at arity n, H~n = Z_n - (K_{n-1} - Z_{n-1}).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
-
-from .core import CompatiblePair, RepPair, adjoint_rep
-from .linalg import Matrix, SubspaceBasis, Vec, extend_basis, in_span, vadd, vscale, vzero
-from .multilinear import Cochain, ce_adjoint, ce_coboundary
+from .core import CompatiblePair, InternalCheckError, RepPair, adjoint_rep
+from .linalg import Matrix, SubspaceBasis, Vec, extend_basis, in_span, vzero
+from .multilinear import Cochain, ce_coboundary
 
 
 class CochainTuple:
@@ -116,13 +115,6 @@ class CochainTuple:
         return cls(degree, comps)
 
 
-def tuple_space_dim(degree: int, dim: int, module_dim: int) -> int:
-    """dim of degree-n space for n >= 1: n * C(dim, n) * module_dim."""
-    if degree < 1:
-        raise ValueError("use c0_basis for degree 0")
-    return degree * comb(dim, degree) * module_dim
-
-
 def c0_basis(pair: CompatiblePair, rep: RepPair | None = None) -> SubspaceBasis:
     """Basis of the degree-0 space: module vectors with equal actions,
     computed as the kernel of the stacked matrices rho(e_i) - mu(e_i).
@@ -141,36 +133,20 @@ def c0_basis(pair: CompatiblePair, rep: RepPair | None = None) -> SubspaceBasis:
 def staircase_coboundary(
     pair: CompatiblePair, t: CochainTuple, rep: RepPair | None = None
 ) -> CochainTuple:
-    """The degree-(n+1) image of a degree-n tuple.
-
-    With a coefficient representation the arms are the two coefficient
-    coboundaries and no global sign appears; with adjoint coefficients
-    (rep=None) the arms are the plain brackets [pi_i, -]_NR and the whole
-    tuple is scaled by (-1)^(n-1), exactly as the adjoint complex is
-    written.  A degree-0 input must lie in the degree-0 subspace.
-    """
-    n = t.degree
+    """The degree-(n+1) image of a degree-n tuple; rep=None means adjoint
+    coefficients.  A degree-0 input must lie in the degree-0 subspace."""
+    rep = adjoint_rep(pair) if rep is None else rep
     pi1 = pair.bracket1.to_cochain()
     pi2 = pair.bracket2.to_cochain()
-    if rep is None:
-        arm1 = lambda w: ce_adjoint(pi1, w)  # noqa: E731
-        arm2 = lambda w: ce_adjoint(pi2, w)  # noqa: E731
-        if n == 0:
-            # written as -[pi_i, x]_NR; ce_adjoint already carries (-1)^(0-1)
-            x = t.components[0]
-            ok, _ = in_span(c0_basis(pair), x.value(()))
-            if not ok:
-                raise ValueError("degree-0 element is outside the degree-0 space")
-            return CochainTuple(1, [arm1(x)])
-    else:
-        arm1 = lambda w: ce_coboundary(pi1, rep.rho, w)  # noqa: E731
-        arm2 = lambda w: ce_coboundary(pi2, rep.mu, w)  # noqa: E731
-        if n == 0:
-            x = t.components[0]
-            ok, _ = in_span(c0_basis(pair, rep), x.value(()))
-            if not ok:
-                raise ValueError("degree-0 element is outside the degree-0 space")
-            return CochainTuple(1, [arm1(x)])
+    arm1 = lambda w: ce_coboundary(pi1, rep.rho, w)  # noqa: E731
+    arm2 = lambda w: ce_coboundary(pi2, rep.mu, w)  # noqa: E731
+    n = t.degree
+    if n == 0:
+        x = t.components[0]
+        ok, _ = in_span(c0_basis(pair, rep), x.value(()))
+        if not ok:
+            raise ValueError("degree-0 element is outside the degree-0 space")
+        return CochainTuple(1, [arm1(x)])
     comps = [arm1(t.components[0])]
     for i in range(1, n):
         comps.append(arm2(t.components[i - 1]) + arm1(t.components[i]))
@@ -193,28 +169,46 @@ def coboundary_matrix(
     pair: CompatiblePair, rep: RepPair | None, degree: int
 ) -> ComplexSlice:
     """Matrix of the staircase coboundary at the given degree with respect
-    to the fixed flattening; consecutive matrices compose to zero."""
-    dim = pair.dim
-    m = pair.dim if rep is None else rep.module_dim
-    rows = tuple_space_dim(degree + 1, dim, m) if degree + 1 <= dim else 0
+    to the fixed flattening; consecutive matrices compose to zero.
+
+    Column block c holds d1 in row block c and d2 in row block c+1; at
+    degree 0 the columns are d1 of the degree-0 basis vectors."""
+    rep = adjoint_rep(pair) if rep is None else rep
+    d1 = ce_matrix(pair, rep, degree, 1)
     if degree == 0:
         basis = c0_basis(pair, rep)
-        cols = []
-        for v in basis.vectors:
-            t = CochainTuple(0, [Cochain.from_element(v, dim)])
-            cols.append(staircase_coboundary(pair, t, rep).flatten())
-        return ComplexSlice(0, basis, Matrix.from_columns(cols, rows=rows))
-    flat_dim = tuple_space_dim(degree, dim, m)
-    basis_vectors = []
-    cols = []
-    for idx in range(flat_dim):
-        flat = [0] * flat_dim
-        flat[idx] = 1
-        t = CochainTuple.from_flat(degree, dim, m, tuple(flat))
-        basis_vectors.append(t.flatten())
-        cols.append(staircase_coboundary(pair, t, rep).flatten())
-    basis = SubspaceBasis(flat_dim, tuple(basis_vectors))
-    return ComplexSlice(degree, basis, Matrix.from_columns(cols, rows=rows))
+        cols = [d1.matvec(v) for v in basis.vectors]
+        return ComplexSlice(0, basis, Matrix.from_columns(cols, rows=d1.rows))
+    d2 = ce_matrix(pair, rep, degree, 2)
+    zero = vzero(d1.rows)
+    arm_cols = list(zip(d1.columns(), d2.columns()))
+    cols = [
+        zero * c + a + b + zero * (degree - 1 - c)
+        for c in range(degree)
+        for a, b in arm_cols
+    ]
+    matrix = Matrix.from_columns(cols, rows=(degree + 1) * d1.rows)
+    basis = SubspaceBasis(matrix.cols, tuple(Matrix.identity(matrix.cols).columns()))
+    return ComplexSlice(degree, basis, matrix)
+
+
+def _cohomology(
+    sl: ComplexSlice, prev: ComplexSlice | None
+) -> tuple[int, SubspaceBasis]:
+    """H at the degree of `sl`, given the slice one degree lower (None at
+    degree 0): dimension and representatives completing a basis of the
+    image to a basis of the kernel."""
+    kernel = sl.matrix.kernel_basis()
+    if prev is None:
+        # kernel coordinates are w.r.t. the degree-0 basis; map them out
+        to_module = sl.basis.as_column_matrix()
+        reps = tuple(to_module.matvec(coeffs) for coeffs in kernel.vectors)
+        return len(reps), SubspaceBasis(sl.basis.ambient_dim, reps)
+    image = prev.matrix.column_space_basis()
+    reps = extend_basis(list(image.vectors), list(kernel.vectors), kernel.ambient_dim)
+    if len(reps) != len(kernel) - len(image):
+        raise InternalCheckError(f"degree {sl.degree}: image outside the kernel")
+    return len(reps), SubspaceBasis(kernel.ambient_dim, tuple(reps))
 
 
 def cohomology_dim(
@@ -223,25 +217,20 @@ def cohomology_dim(
     """dim ker(D_n) - dim im(D_{n-1}) plus representatives completing a
     basis of the image to a basis of the kernel."""
     sl = coboundary_matrix(pair, rep, degree)
-    kernel = sl.matrix.kernel_basis()
-    if degree == 0:
-        # kernel coordinates are w.r.t. the degree-0 basis; map them out
-        amb = sl.basis.ambient_dim
-        reps = []
-        for coeffs in kernel.vectors:
-            v = vzero(amb)
-            for c, b in zip(coeffs, sl.basis.vectors):
-                v = vadd(v, vscale(c, b))
-            reps.append(v)
-        return len(reps), SubspaceBasis(amb, tuple(reps))
-    prev = coboundary_matrix(pair, rep, degree - 1)
-    image = prev.matrix.column_space_basis()
-    h_dim = len(kernel) - len(image)
-    reps = extend_basis(
-        list(image.vectors), list(kernel.vectors), kernel.ambient_dim
-    )
-    assert len(reps) == h_dim, "image is not contained in the kernel"
-    return h_dim, SubspaceBasis(kernel.ambient_dim, tuple(reps))
+    prev = coboundary_matrix(pair, rep, degree - 1) if degree else None
+    return _cohomology(sl, prev)
+
+
+def cohomology_dims(
+    pair: CompatiblePair, rep: RepPair | None, max_degree: int
+) -> list[tuple[int, int, SubspaceBasis]]:
+    """(space_dim, h_dim, representatives) for degrees 0..max_degree, as
+    `cohomology_dim` gives them, building each staircase slice once."""
+    slices = [coboundary_matrix(pair, rep, n) for n in range(max_degree + 1)]
+    return [
+        (len(sl.basis), *_cohomology(sl, slices[n - 1] if n else None))
+        for n, sl in enumerate(slices)
+    ]
 
 
 def derivation_spaces(pair: CompatiblePair) -> tuple[SubspaceBasis, SubspaceBasis]:
@@ -273,40 +262,61 @@ def ce_matrix(pair: CompatiblePair, rep: RepPair, degree: int, which: int) -> Ma
     return Matrix.from_columns(cols, rows=rows)
 
 
+def _check_anticommute(degree: int, d1, d2, d1_next, d2_next) -> None:
+    """d1' d2 + d2' d1 = 0 from arity `degree` to arity `degree` + 2."""
+    if not (d1_next * d2 + d2_next * d1).is_zero():
+        raise InternalCheckError(f"degree {degree}: the arms do not anticommute")
+
+
 def reduced_slice(pair: CompatiblePair, rep: RepPair, degree: int) -> ComplexSlice:
     """Basis of the reduced degree-n space (kernel of the first-bracket
     coboundary inside the single-copy cochain space) and the matrix of the
     second-bracket coboundary restricted to it.
 
     The restriction is well defined because the two coboundaries
-    anticommute; that identity is asserted on the full space while the
-    slice is built.
+    anticommute; that identity is checked on the full space while the
+    slice is built.  `reduced_cohomology_dims` gives the same dimensions
+    from ranks alone.
     """
     d1 = ce_matrix(pair, rep, degree, 1)
     d2 = ce_matrix(pair, rep, degree, 2)
     d1_next = ce_matrix(pair, rep, degree + 1, 1)
     d2_next = ce_matrix(pair, rep, degree + 1, 2)
-    anti = d1_next * d2 + d2_next * d1
-    assert anti.is_zero(), "coefficient coboundaries do not anticommute"
+    _check_anticommute(degree, d1, d2, d1_next, d2_next)
     basis = d1.kernel_basis()
-    target_basis = d1_next.kernel_basis()
-    target_matrix = target_basis.as_column_matrix()
+    target_matrix = d1_next.kernel_basis().as_column_matrix()
     cols = []
     for v in basis.vectors:
-        w = d2.matvec(v)
-        coeffs = target_matrix.solve(w)
-        assert coeffs is not None, "restricted map left the reduced subspace"
+        coeffs = target_matrix.solve(d2.matvec(v))
+        if coeffs is None:
+            raise InternalCheckError(f"degree {degree}: d2 left the reduced subspace")
         cols.append(coeffs)
     return ComplexSlice(
-        degree, basis, Matrix.from_columns(cols, rows=len(target_basis))
+        degree, basis, Matrix.from_columns(cols, rows=target_matrix.cols)
     )
 
 
-def reduced_cohomology_dim(pair: CompatiblePair, rep: RepPair, degree: int) -> int:
-    """dim ker - dim im of consecutive reduced slices."""
-    sl = reduced_slice(pair, rep, degree)
-    k = len(sl.matrix.kernel_basis())
-    if degree == 0:
-        return k
-    prev = reduced_slice(pair, rep, degree - 1)
-    return k - prev.matrix.rank()
+def reduced_cohomology_dims(
+    pair: CompatiblePair, rep: RepPair | None, max_degree: int
+) -> list[tuple[int, int]]:
+    """(space_dim, h_dim) of the reduced complex for degrees 0..max_degree,
+    from the ranks of the arms, each built once; rep=None means adjoint."""
+    rep = adjoint_rep(pair) if rep is None else rep
+    arms = [
+        (ce_matrix(pair, rep, n, 1), ce_matrix(pair, rep, n, 2))
+        for n in range(max_degree + 2)
+    ]
+    out = []
+    k_prev = z_prev = 0
+    for n in range(max_degree + 1):
+        _check_anticommute(n, *arms[n], *arms[n + 1])
+        d1, d2 = arms[n]
+        k = d1.cols - d1.rank()
+        stacked = Matrix.from_columns(
+            [a + b for a, b in zip(d1.columns(), d2.columns())],
+            rows=d1.rows + d2.rows,
+        )
+        z = d1.cols - stacked.rank()
+        out.append((k, z - (k_prev - z_prev)))
+        k_prev, z_prev = k, z
+    return out

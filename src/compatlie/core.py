@@ -51,6 +51,11 @@ class Verdict:
 OK = Verdict(True)
 
 
+class InternalCheckError(RuntimeError):
+    """An invariant of the theory failed, e.g. an unchecked
+    non-representation made a coboundary image leave the kernel."""
+
+
 def _witness_from_cochain(law: str, c: Cochain) -> Verdict:
     hit = c.first_nonzero()
     if hit is None:

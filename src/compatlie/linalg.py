@@ -275,18 +275,12 @@ def in_span(basis: SubspaceBasis, v: Vec) -> tuple[bool, Vec | None]:
 
 
 def extend_basis(base: list[Vec], candidates: list[Vec], ambient: int) -> list[Vec]:
-    """Candidates that extend `base` to a larger independent set (greedy)."""
-    chosen: list[Vec] = []
-    current = [vec(v) for v in base]
-    r = Matrix(current).rank() if current else 0
-    for cand in candidates:
-        trial = current + [vec(cand)]
-        tr = Matrix(trial).rank()
-        if tr > r:
-            chosen.append(vec(cand))
-            current = trial
-            r = tr
-    return chosen
+    """Candidates that extend `base` to a larger independent set, picked
+    greedily in order: the candidate pivot columns of one elimination of
+    the matrix with columns [base | candidates]."""
+    m = Matrix.from_columns([*base, *candidates], rows=ambient)
+    _, pivots = m.rref()
+    return [m.column(c) for c in pivots if c >= len(base)]
 
 
 def rank_bareiss(m: Matrix) -> int:

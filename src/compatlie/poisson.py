@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
 
-from .cohomology import reduced_cohomology_dim
+from .cohomology import reduced_cohomology_dims
 from .core import CompatiblePair, LieBracket, RepPair
 from .linalg import Matrix
 
@@ -134,7 +134,7 @@ def reduced_bihamiltonian_dims(
     poly = lie_poisson_rep(pair, max_degree)
     table = {}
     for d in range(max_degree + 1):
-        block = degree_block(poly, d)
-        for n in range(n_max + 1):
-            table[(d, n)] = reduced_cohomology_dim(pair, block, n)
+        dims = reduced_cohomology_dims(pair, degree_block(poly, d), n_max)
+        for n, (_, h_dim) in enumerate(dims):
+            table[(d, n)] = h_dim
     return table

@@ -1,7 +1,10 @@
+import hashlib
 import json
 from pathlib import Path
 
+from compatlie import cohomology, poisson
 from compatlie.cli import main
+from compatlie.document import parse
 
 DATA = Path(__file__).parent / "data"
 
@@ -265,3 +268,80 @@ def test_text_format_has_timing_but_json_does_not(capsys):
     assert "elapsed:" in out_text
     _, out_json, _ = run(capsys, "check", DATA / "n2.alg", "--format", "json")
     assert "elapsed" not in out_json
+
+
+def table_commands(name):
+    """The cohomology and Poisson table commands run on a valid fixture."""
+    dim = parse((DATA / name).read_text()).dim
+    return {
+        "cohomology": ["cohomology", name, "--max-degree", str(min(3, dim)), "--reduced"],
+        "poisson": ["poisson", name, "--poly-degree", "2", "--max-degree", "2"],
+    }
+
+
+# sha256 of the JSON reports, recorded before the staircase and reduced
+# tables were rebuilt from the arm matrices; run from tests/data so the
+# "input" field is the bare file name
+TABLE_DIGESTS = {
+    ("abelian2.alg", "cohomology"): "e3a7b74ac8375e5a7ea339394b256a8b50b8806bf58b5765a8804bc337a7ba4d",
+    ("abelian2.alg", "poisson"): "54ccc1382eb56dd382223b2c799697d27172568937981e3dedde4e92ebb79fd6",
+    ("heisenberg_ext.alg", "cohomology"): "ac79be8c665a8c8a0567a39dedecd6329761f6545ceff1091cbe9bb9a6767a64",
+    ("heisenberg_ext.alg", "poisson"): "c12606b99cb0d307db7348507407e3205953640571e9292923757806c8f9fda9",
+    ("n2.alg", "cohomology"): "d4b872193945924e620f33491a490da80d1a95c2305ca122afbc730e0529f48b",
+    ("n2.alg", "poisson"): "74d7653e20c0cab4b3d16ebd0b4667b77a71cd357ab6a252802702e69e1cc472",
+    ("nonabelian_ext.alg", "cohomology"): "7aac4e3f8c81f5723678a9c2757f624874f9ab82873e7d01f96c7bff217822bc",
+    ("nonabelian_ext.alg", "poisson"): "b301b34dbe6b194119dcde137b8dafccade48063915c85f9f6d6df5c4b360fba",
+    ("semidirect_scaled.alg", "cohomology"): "7581fd5fe7fed66d358f9e9fbc8d9c5dc2aeff727402b04eec8dd31d7a8aeb12",
+    ("semidirect_scaled.alg", "poisson"): "a16415d65926035285925c5ffdc82eb6397843968ce61c0b60f63947fb7bb17a",
+    ("sl2_pair.alg", "cohomology"): "5698ac6b1aa5201a276ab5e70fcf1704e2a17866dea85494b18281bb8a42637e",
+    ("sl2_pair.alg", "poisson"): "bd6c7656a43bca5d33088fe936e3abdaafb9fa040af3a9c84da7edfdecf0bc80",
+}
+
+
+def test_table_reports_match_recorded_digests(capsys, monkeypatch):
+    monkeypatch.chdir(DATA)
+    for (name, command), digest in TABLE_DIGESTS.items():
+        code, out, _ = run(capsys, *table_commands(name)[command], "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (name, command)
+
+
+def test_each_table_builds_each_arm_once(capsys, monkeypatch):
+    # every ce_matrix build is keyed by (table, module, degree, bracket); a
+    # key seen twice is a rebuilt arm
+    monkeypatch.chdir(DATA)
+    builds = []
+    table = [None]
+    ce_matrix = cohomology.ce_matrix
+
+    def counted(pair, rep, degree, which):
+        builds.append((table[0], rep, degree, which))
+        return ce_matrix(pair, rep, degree, which)
+
+    def tagged(sweep, name):
+        def run_sweep(*args):
+            table[0] = name
+            try:
+                return sweep(*args)
+            finally:
+                table[0] = None
+
+        return run_sweep
+
+    monkeypatch.setattr(cohomology, "ce_matrix", counted)
+    staircase = tagged(cohomology.cohomology_dims, "staircase")
+    reduced = tagged(cohomology.reduced_cohomology_dims, "reduced")
+    monkeypatch.setattr(cohomology, "cohomology_dims", staircase)
+    monkeypatch.setattr(cohomology, "reduced_cohomology_dims", reduced)
+    monkeypatch.setattr(poisson, "reduced_cohomology_dims", reduced)
+    for name in sorted({name for name, _ in TABLE_DIGESTS}):
+        for command, argv in table_commands(name).items():
+            builds.clear()
+            assert run(capsys, *argv)[0] == 0
+            assert builds and None not in {b[0] for b in builds}
+            assert len(builds) == len(set(builds)), (name, command)
+            if command == "cohomology":
+                k = int(argv[3])
+                # staircase: d1 at degree 0, both arms at 1..k; reduced:
+                # both arms at 0..k+1
+                assert len(builds) == (2 * k + 1) + 2 * (k + 2)

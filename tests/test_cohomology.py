@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -9,16 +13,21 @@ from compatlie.cohomology import (
     ce_matrix,
     coboundary_matrix,
     cohomology_dim,
+    cohomology_dims,
     derivation_spaces,
-    reduced_cohomology_dim,
+    reduced_cohomology_dims,
     reduced_slice,
     staircase_coboundary,
-    tuple_space_dim,
 )
 from compatlie.core import CompatiblePair, LieBracket, RepPair, adjoint_rep
-from compatlie.linalg import Matrix, rank_bareiss, vec
-from compatlie.multilinear import Cochain
+from compatlie.linalg import Matrix, SubspaceBasis, rank_bareiss, vec
+from compatlie.multilinear import Cochain, ce_adjoint
 from support import n2, rand_compatible_pair, rand_rep, sl2
+
+
+def tuple_space_dim(degree, dim, module_dim):
+    """dim of the degree-n space for n >= 1: n * C(dim, n) * module_dim."""
+    return degree * comb(dim, degree) * module_dim
 
 
 def abelian_pair(dim):
@@ -83,16 +92,77 @@ def test_staircase_degree0_membership_enforced():
         staircase_coboundary(pair, t)
 
 
+def nr_staircase(pair, t):
+    """The adjoint staircase written with the Nijenhuis-Richardson arms
+    d^n_pi = (-1)^(n-1)[pi, -]_NR (`ce_adjoint`), for degree >= 1."""
+    pi1 = pair.bracket1.to_cochain()
+    pi2 = pair.bracket2.to_cochain()
+    w = t.components
+    n = t.degree
+    comps = [ce_adjoint(pi1, w[0])]
+    comps += [ce_adjoint(pi2, w[i - 1]) + ce_adjoint(pi1, w[i]) for i in range(1, n)]
+    comps.append(ce_adjoint(pi2, w[n - 1]))
+    return CochainTuple(n + 1, comps)
+
+
 def test_adjoint_equals_coefficient_flavor_with_adjoint_rep():
+    # the production staircase (CE arms of adjoint_rep) against the NR form
     rng = Random(5)
     for _ in range(10):
         pair = rand_compatible_pair(rng, rng.randint(2, 3))
-        rep = adjoint_rep(pair)
         n = rng.randint(1, pair.dim)
         flat_dim = tuple_space_dim(n, pair.dim, pair.dim)
         flat = tuple(rng.randint(-2, 2) for _ in range(flat_dim))
         t = CochainTuple.from_flat(n, pair.dim, pair.dim, flat)
-        assert staircase_coboundary(pair, t) == staircase_coboundary(pair, t, rep)
+        assert staircase_coboundary(pair, t) == nr_staircase(pair, t)
+        assert staircase_coboundary(pair, t) == staircase_coboundary(
+            pair, t, adjoint_rep(pair)
+        )
+
+
+def unit_tuple_slice(pair, rep, degree):
+    """The staircase matrix built one unit tuple at a time through
+    `staircase_coboundary` (degree 0: one degree-0 basis vector at a time)."""
+    dim = pair.dim
+    m = dim if rep is None else rep.module_dim
+    rows = tuple_space_dim(degree + 1, dim, m) if degree + 1 <= dim else 0
+    if degree == 0:
+        basis = c0_basis(pair, rep)
+        tuples = [CochainTuple(0, [Cochain.from_element(v, dim)]) for v in basis.vectors]
+    else:
+        flat_dim = tuple_space_dim(degree, dim, m)
+        units = [
+            tuple(int(i == j) for j in range(flat_dim)) for i in range(flat_dim)
+        ]
+        basis = SubspaceBasis(flat_dim, tuple(vec(u) for u in units))
+        tuples = [CochainTuple.from_flat(degree, dim, m, u) for u in units]
+    cols = [staircase_coboundary(pair, t, rep).flatten() for t in tuples]
+    return basis, Matrix.from_columns(cols, rows=rows)
+
+
+def test_coboundary_matrix_equals_unit_tuple_build():
+    rng = Random(23)
+    for trial in range(8):
+        pair = rand_compatible_pair(rng, rng.randint(2, 3))
+        rep = None if trial % 2 == 0 else rand_rep(rng, pair)
+        for n in range(pair.dim + 1):
+            sl = coboundary_matrix(pair, rep, n)
+            basis, matrix = unit_tuple_slice(pair, rep, n)
+            assert sl.basis == basis
+            assert sl.matrix == matrix
+
+
+def test_cohomology_dims_equal_cohomology_dim_per_degree():
+    rng = Random(29)
+    for trial in range(4):
+        pair = rand_compatible_pair(rng, rng.randint(2, 3))
+        rep = None if trial % 2 == 0 else rand_rep(rng, pair)
+        m = pair.dim if rep is None else rep.module_dim
+        for n, (space, h_dim, reps) in enumerate(cohomology_dims(pair, rep, pair.dim)):
+            assert (h_dim, reps) == cohomology_dim(pair, rep, n)
+            assert space == (
+                len(c0_basis(pair, rep)) if n == 0 else tuple_space_dim(n, pair.dim, m)
+            )
 
 
 def test_coboundary_matrix_shapes():
@@ -199,7 +269,7 @@ def test_reduced_full_when_everything_abelian():
         sl = reduced_slice(pair, rep, n)
         assert len(sl.basis) == Cochain.flat_dim(n, 2, 1)
         assert sl.matrix.is_zero()
-        assert reduced_cohomology_dim(pair, rep, n) == comb(2, n)
+        assert reduced_cohomology_dims(pair, rep, 2)[n] == (len(sl.basis), comb(2, n))
 
 
 def test_reduced_n2_trivial_module():
@@ -213,8 +283,7 @@ def test_reduced_n2_trivial_module():
     assert v[1] == 0 and v[0] != 0
     # trivial action: the reduced differential vanishes, so dims are the
     # reduced space dims: C~^0 = V (dim 1), C~^1 as above (dim 1)
-    assert reduced_cohomology_dim(pair, rep, 0) == 1
-    assert reduced_cohomology_dim(pair, rep, 1) == 1
+    assert reduced_cohomology_dims(pair, rep, 1) == [(1, 1), (1, 1)]
 
 
 def test_reduced_adjoint_n2_degree0():
@@ -223,7 +292,7 @@ def test_reduced_adjoint_n2_degree0():
     rep = adjoint_rep(pair)
     sl = reduced_slice(pair, rep, 0)
     assert len(sl.basis) == 0
-    assert reduced_cohomology_dim(pair, rep, 0) == 0
+    assert reduced_cohomology_dims(pair, rep, 0) == [(0, 0)]
 
 
 def test_reduced_sl2_adjoint_degree1_two_routes():
@@ -233,7 +302,7 @@ def test_reduced_sl2_adjoint_degree1_two_routes():
     rep = adjoint_rep(pair)
     d1 = ce_matrix(pair, rep, 1, 1)
     assert d1.rank() == rank_bareiss(d1)
-    dim1 = reduced_cohomology_dim(pair, rep, 1)
+    dim1 = reduced_cohomology_dims(pair, rep, 1)[1][1]
     # with both brackets equal, d1 = d2 so the reduced complex at degree 1
     # has C~^1 = ker d^1 (dim 3 + 6 = ...) computed: frozen value below
     assert dim1 == FROZEN_REDUCED_SL2_D1
@@ -261,3 +330,69 @@ def test_degree_cap_spaces_vanish():
     assert cohomology_dim(pair, None, 2)[0] == len(sl.matrix.kernel_basis()) - (
         coboundary_matrix(pair, None, 1).matrix.rank()
     )
+
+
+def test_reduced_dims_equal_the_explicit_slice_route():
+    rng = Random(31)
+    for _ in range(6):
+        pair = rand_compatible_pair(rng, rng.randint(2, 3))
+        rep = rand_rep(rng, pair)
+        top = pair.dim
+        slices = [reduced_slice(pair, rep, n) for n in range(top + 1)]
+        expected = [
+            (
+                len(sl.basis),
+                len(sl.matrix.kernel_basis()) - (slices[n - 1].matrix.rank() if n else 0),
+            )
+            for n, sl in enumerate(slices)
+        ]
+        assert reduced_cohomology_dims(pair, rep, top) == expected
+
+
+NON_REPRESENTATION_RUN = """
+import sys
+from random import Random
+
+from compatlie import (
+    InternalCheckError, RepPair, cohomology_dims, reduced_cohomology_dims,
+    reduced_slice, validate_rep,
+)
+from support import rand_compatible_pair, rand_matrix
+
+rng = Random(int(sys.argv[1]))
+pair = rand_compatible_pair(rng, 3)
+mats = tuple(rand_matrix(rng, 2, 2) for _ in range(2 * pair.dim))
+rep = RepPair(2, mats[: pair.dim], mats[pair.dim :])
+print("optimize", sys.flags.optimize, "valid", bool(validate_rep(pair, rep)))
+for name, run in (
+    ("staircase", lambda: cohomology_dims(pair, rep, pair.dim)),
+    ("reduced", lambda: reduced_cohomology_dims(pair, rep, pair.dim)),
+    ("slice", lambda: reduced_slice(pair, rep, 0)),
+):
+    try:
+        run()
+    except InternalCheckError:
+        print(name, "raised")
+    else:
+        print(name, "passed")
+"""
+
+
+def test_non_representation_raises_under_python_O():
+    # assert statements vanish under -O; the invariant checks must not
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+    for seed in (1, 2):
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", NON_REPRESENTATION_RUN, str(seed)],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.split("\n")
+        assert out[:4] == [
+            "optimize 1 valid False",
+            "staircase raised",
+            "reduced raised",
+            "slice raised",
+        ]

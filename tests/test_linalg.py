@@ -4,6 +4,7 @@ from random import Random
 from compatlie.linalg import (
     Matrix,
     SubspaceBasis,
+    extend_basis,
     in_span,
     kernel_basis,
     rank,
@@ -117,3 +118,44 @@ def test_empty_shapes():
     z2 = Matrix.zeros(3, 0)
     assert rank(z2) == 0
     assert len(kernel_basis(z2)) == 0
+
+
+def greedy_extend(base, candidates):
+    """One rank per candidate: keep it when it raises the rank."""
+    chosen, current = [], [vec(v) for v in base]
+    r = Matrix(current).rank() if current else 0
+    for cand in candidates:
+        trial = current + [vec(cand)]
+        if Matrix(trial).rank() > r:
+            chosen.append(vec(cand))
+            current, r = trial, r + 1
+    return chosen
+
+
+def test_extend_basis_equals_greedy_rank_loop():
+    rng = Random(41)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+
+        def rand_vec():
+            return vec(Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(n))
+
+        base = [rand_vec() for _ in range(rng.randint(0, 3))]
+        candidates = [rand_vec() for _ in range(rng.randint(0, 5))]
+        # dependent candidates: repeats and combinations of earlier vectors
+        pool = base + candidates
+        if pool:
+            candidates.insert(rng.randint(0, len(candidates)), rng.choice(pool))
+            a, b = rng.choice(pool), rng.choice(pool)
+            candidates.append(tuple(x + 2 * y for x, y in zip(a, b)))
+        candidates.append(vec([0] * n))
+        expected = greedy_extend(base, candidates)
+        assert extend_basis(base, candidates, n) == expected
+
+
+def test_extend_basis_empty_inputs():
+    v = vec([1, 2])
+    assert extend_basis([], [], 2) == []
+    assert extend_basis([v], [], 2) == []
+    assert extend_basis([], [v, v], 2) == [v]
+    assert extend_basis([v], [vec([2, 4]), vec([0, 1])], 2) == [vec([0, 1])]
