@@ -11,7 +11,8 @@ failure values in text output), --seed N (extra randomized pencil probes
 for `check`).
 
 Exit codes: 0 all verdicts ok, 1 a verdict failed (the witness is in the
-report), 2 usage or parse errors.
+report), 2 usage or parse errors, 3 an internal consistency check failed
+(`InternalCheckError`: a bug or an unchecked invariant, never bad usage).
 
 The json and csv formats are byte-identical across runs on identical
 input: every ordering is fixed and no timing information is included
@@ -30,6 +31,7 @@ from random import Random
 from . import cohomology as coh
 from .core import (
     CompatiblePair,
+    InternalCheckError,
     Verdict,
     pencil,
     validate_bracket,
@@ -55,6 +57,7 @@ from .extension import (
 from .poisson import lie_poisson_rep, reduced_bihamiltonian_dims
 
 USAGE_ERROR = 2
+INTERNAL_ERROR = 3
 
 
 class CommandError(Exception):
@@ -386,7 +389,7 @@ def _cmd_poisson(doc: AlgebraDocument, args, report: Report):
         raise CommandError("--poly-degree must be >= 0")
     poly = lie_poisson_rep(pair, args.poly_degree)
     report.verdict("poisson-representation", validate_rep(pair, poly.rep))
-    table = reduced_bihamiltonian_dims(pair, args.poly_degree, args.max_degree)
+    table = reduced_bihamiltonian_dims(pair, poly, args.max_degree)
     rows = []
     for d in range(args.poly_degree + 1):
         row = {"poly_degree": d}
@@ -484,6 +487,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
+    except InternalCheckError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return INTERNAL_ERROR
 
     elapsed = time.monotonic() - started
     if args.format == "json":

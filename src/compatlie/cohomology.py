@@ -23,9 +23,12 @@ K_n = dim ker d1 at arity n, H~n = Z_n - (K_{n-1} - Z_{n-1}).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import combinations
+
 from .core import CompatiblePair, InternalCheckError, RepPair, adjoint_rep
 from .linalg import Matrix, SubspaceBasis, Vec, extend_basis, in_span, vzero
-from .multilinear import Cochain, ce_coboundary
+from .multilinear import Cochain, ce_coboundary, sort_with_sign
 
 
 class CochainTuple:
@@ -247,19 +250,52 @@ def derivation_spaces(pair: CompatiblePair) -> tuple[SubspaceBasis, SubspaceBasi
 
 def ce_matrix(pair: CompatiblePair, rep: RepPair, degree: int, which: int) -> Matrix:
     """Matrix of the coefficient coboundary of bracket `which` (1 or 2) on
-    the single-copy space of arity-`degree` cochains."""
+    the single-copy space of arity-`degree` cochains: the column of a unit
+    cochain is its `ce_coboundary`.
+
+    The Chevalley-Eilenberg sum is scattered straight from the nonzeros.
+    For each (degree+1)-subset T, the entry a[t', t] of the action of
+    e_T[pos] lands at ((T, t'), (T - T[pos], t)) with sign (-1)^pos, and
+    each coefficient c_k of [e_T[p1], e_T[p2]] lands at ((T, t), (S, t))
+    for every t with sign (-1)^(p1+p2) * sign, where (S, sign) =
+    sort_with_sign((k, *rest)) and rest is T without T[p1] and T[p2].
+    """
     dim, m = pair.dim, rep.module_dim
-    pi = (pair.bracket1 if which == 1 else pair.bracket2).to_cochain()
+    bracket = pair.bracket1 if which == 1 else pair.bracket2
     action = rep.rho if which == 1 else rep.mu
-    flat_dim = Cochain.flat_dim(degree, dim, m)
-    rows = Cochain.flat_dim(degree + 1, dim, m)
-    cols = []
-    for idx in range(flat_dim):
-        flat = [0] * flat_dim
-        flat[idx] = 1
-        f = Cochain.from_flat(degree, dim, m, tuple(flat))
-        cols.append(ce_coboundary(pi, action, f).flatten())
-    return Matrix.from_columns(cols, rows=rows)
+    if len(action) != dim:
+        raise ValueError("rho must be one target-space matrix per source index")
+    action_nz = [
+        [(r, c, x) for r in range(m) for c, x in enumerate(a.row(r)) if x]
+        for a in action
+    ]
+    structure: dict[tuple[int, int], list] = {}
+    for ((i, j), k), c in bracket.to_cochain().coeffs.items():
+        structure.setdefault((i, j), []).append((k, c))
+    block_of = {s: b for b, s in enumerate(combinations(range(dim), degree))}
+    cols = len(block_of) * m
+    zero = Fraction(0)
+    rows = []
+    for subset in combinations(range(dim), degree + 1):
+        block = [[zero] * cols for _ in range(m)]
+        for pos, i in enumerate(subset):
+            base = block_of[subset[:pos] + subset[pos + 1 :]] * m
+            sign = -1 if pos % 2 else 1
+            for r, c, x in action_nz[i]:
+                block[r][base + c] += sign * x
+        for p1, p2 in combinations(range(degree + 1), 2):
+            rest = subset[:p1] + subset[p1 + 1 : p2] + subset[p2 + 1 :]
+            for k, c in structure.get((subset[p1], subset[p2]), ()):
+                ss = sort_with_sign((k, *rest))
+                if ss is None:
+                    continue
+                s, sign = ss
+                coeff = c * sign if (p1 + p2) % 2 == 0 else -c * sign
+                base = block_of[s] * m
+                for t in range(m):
+                    block[t][base + t] += coeff
+        rows.extend(tuple(r) for r in block)
+    return Matrix._raw(tuple(rows), len(rows), cols)
 
 
 def _check_anticommute(degree: int, d1, d2, d1_next, d2_next) -> None:

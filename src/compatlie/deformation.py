@@ -24,6 +24,7 @@ from fractions import Fraction
 from .cohomology import CochainTuple, coboundary_matrix, staircase_coboundary
 from .core import (
     CompatiblePair,
+    InternalCheckError,
     LieBracket,
     Verdict,
     Witness,
@@ -89,13 +90,15 @@ def is_infinitesimal_deformation(
     )
     if not v:
         return v
-    assert validate_pair(
-        LieBracket.from_cochain(w1), LieBracket.from_cochain(w2)
-    ), "six identities hold but (w1, w2) is not a compatible pair"
+    if not validate_pair(LieBracket.from_cochain(w1), LieBracket.from_cochain(w2)):
+        raise InternalCheckError(
+            "six identities hold but (w1, w2) is not a compatible pair"
+        )
     closed = staircase_coboundary(
         pair, CochainTuple(2, [w1, w2]), None
     )
-    assert closed.is_zero(), "six identities hold but (w1, w2) is not closed"
+    if not closed.is_zero():
+        raise InternalCheckError("six identities hold but (w1, w2) is not closed")
     return OK
 
 
@@ -132,7 +135,8 @@ def nijenhuis_torsion(bracket: LieBracket, n_op: Matrix) -> Cochain:
     direct = Cochain.from_values(2, dim, dim, values)
     nn = nr_compose(n_c, n_c)
     graded = (nr_bracket(pi, nn) + nr_bracket(n_c, deformed)).scale(Fraction(1, 2))
-    assert direct == graded, "torsion formulas disagree"
+    if direct != graded:
+        raise InternalCheckError("torsion formulas disagree")
     return direct
 
 
@@ -253,9 +257,15 @@ def deformations_equivalent(
         ],
     )
     diff = CochainTuple(2, [d.omega1 - d_prime.omega1, d.omega2 - d_prime.omega2])
-    assert diff == delta_n, "equations hold but the difference is not the coboundary of N"
+    if diff != delta_n:
+        raise InternalCheckError(
+            "equations hold but the difference is not the coboundary of N"
+        )
     ok, _ = cohomology_obstruction(pair, d, d_prime)
-    assert ok, "difference is a coboundary but not in the image of the matrix"
+    if not ok:
+        raise InternalCheckError(
+            "difference is a coboundary but not in the image of the matrix"
+        )
     return OK
 
 

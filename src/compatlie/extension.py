@@ -34,6 +34,7 @@ from .cohomology import CochainTuple, coboundary_matrix, staircase_coboundary
 from .core import (
     OK,
     CompatiblePair,
+    InternalCheckError,
     LieBracket,
     RepPair,
     Verdict,
@@ -719,7 +720,10 @@ def extensions_isomorphic_under(
             for q in range(p + 1, big):
                 lhs = theta.matvec(built.bracket_basis(p, q))
                 rhs = built2.bracket(theta.column(p), theta.column(q))
-                assert lhs == rhs, "difference equations hold but theta fails"
+                if lhs != rhs:
+                    raise InternalCheckError(
+                        "difference equations hold but theta fails"
+                    )
     return OK
 
 
@@ -740,7 +744,7 @@ def twisted_boundary_matrices(
 ) -> tuple[Matrix, Matrix]:
     """Matrices of the two twisted differentials [anchor_i, -] on the space
     of arity-`arity` cochains valued in the fibre that vanish on pure-fibre
-    inputs; closure of that space is asserted (the subalgebra lemma)."""
+    inputs; closure of that space is checked (the subalgebra lemma)."""
     n, m = g_pair.dim, h_pair.dim
     total = n + m
     datum0 = ExtensionDatum(
@@ -769,7 +773,7 @@ def twisted_boundary_matrices(
                 col = [Fraction(0)] * (len(cod) * m)
                 for (subset, tt), c in d.coeffs.items():
                     if tt < n or all(i >= n for i in subset):
-                        raise AssertionError(
+                        raise InternalCheckError(
                             "twisted differential left the subcomplex"
                         )
                     col[cod_index[(subset, tt)]] = c

@@ -137,11 +137,19 @@ class Matrix:
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape()} * {other.shape()}")
-        bt = other.transpose()._a
-        a = tuple(
-            tuple(sum(x * y for x, y in zip(r, c)) for c in bt) for r in self._a
-        )
-        return Matrix._raw(a, self.rows, other.cols)
+        # visit only nonzero products: the nonzero (column, entry) pairs of
+        # each row of `other`, scaled by each nonzero entry of a row of self
+        other_nz = [[(j, y) for j, y in enumerate(r) if y] for r in other._a]
+        zero = Fraction(0)
+        a = []
+        for r in self._a:
+            acc = [zero] * other.cols
+            for x, nz in zip(r, other_nz):
+                if x:
+                    for j, y in nz:
+                        acc[j] += x * y
+            a.append(tuple(acc))
+        return Matrix._raw(tuple(a), self.rows, other.cols)
 
     def matvec(self, v: Vec) -> Vec:
         if len(v) != self.cols:

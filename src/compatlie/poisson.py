@@ -19,13 +19,13 @@ geometry stays on paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
 
 from .cohomology import reduced_cohomology_dims
-from .core import CompatiblePair, LieBracket, RepPair
+from .core import CompatiblePair, InternalCheckError, LieBracket, RepPair
 from .linalg import Matrix
 
 
@@ -37,6 +37,11 @@ class PolyBasis:
     dim: int
     max_degree: int
     monomials: tuple[tuple[int, ...], ...]
+    _position: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        position = {a: i for i, a in enumerate(self.monomials)}
+        object.__setattr__(self, "_position", position)
 
     @classmethod
     def build(cls, dim: int, max_degree: int) -> "PolyBasis":
@@ -52,11 +57,18 @@ class PolyBasis:
                 level.add(tuple(e))
             monos.extend(sorted(level, key=lambda a: tuple(-x for x in a)))
         basis = cls(dim, max_degree, tuple(monos))
-        assert len(basis.monomials) == comb(dim + max_degree, max_degree)
+        if len(basis.monomials) != comb(dim + max_degree, max_degree):
+            raise InternalCheckError(
+                f"{len(basis.monomials)} monomials of degree <= {max_degree} "
+                f"in {dim} coordinates"
+            )
         return basis
 
     def index(self, exponents: tuple[int, ...]) -> int:
-        return self.monomials.index(exponents)
+        try:
+            return self._position[exponents]
+        except KeyError:
+            raise ValueError(f"{exponents} is not a basis monomial") from None
 
     def degree_indices(self, d: int) -> list[int]:
         return [i for i, a in enumerate(self.monomials) if sum(a) == d]
@@ -127,13 +139,13 @@ def degree_block(poly: PolyRep, d: int) -> RepPair:
 
 
 def reduced_bihamiltonian_dims(
-    pair: CompatiblePair, max_degree: int, n_max: int
+    pair: CompatiblePair, poly: PolyRep, n_max: int
 ) -> dict[tuple[int, int], int]:
     """Reduced cohomology dimensions per (polynomial degree d, cochain
-    degree n), d <= max_degree, n <= n_max."""
-    poly = lie_poisson_rep(pair, max_degree)
+    degree n), d <= poly.basis.max_degree, n <= n_max; `poly` is
+    `lie_poisson_rep(pair, D)`."""
     table = {}
-    for d in range(max_degree + 1):
+    for d in range(poly.basis.max_degree + 1):
         dims = reduced_cohomology_dims(pair, degree_block(poly, d), n_max)
         for n, (_, h_dim) in enumerate(dims):
             table[(d, n)] = h_dim

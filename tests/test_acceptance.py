@@ -280,7 +280,7 @@ def test_criterion_10_poisson_representation():
             ad = adjoint_rep(pair)
             assert block.rho == ad.rho and block.mu == ad.mu
     pair = CompatiblePair(LieBracket.zero(2), LieBracket.zero(2))
-    table = reduced_bihamiltonian_dims(pair, 2, 2)
+    table = reduced_bihamiltonian_dims(pair, lie_poisson_rep(pair, 2), 2)
     for d in range(3):
         block_dim = comb(2 + d - 1, d) if d > 0 else 1
         for n in range(3):

@@ -4,6 +4,7 @@ from pathlib import Path
 
 from compatlie import cohomology, poisson
 from compatlie.cli import main
+from compatlie.core import InternalCheckError
 from compatlie.document import parse
 
 DATA = Path(__file__).parent / "data"
@@ -345,3 +346,16 @@ def test_each_table_builds_each_arm_once(capsys, monkeypatch):
                 # staircase: d1 at degree 0, both arms at 1..k; reduced:
                 # both arms at 0..k+1
                 assert len(builds) == (2 * k + 1) + 2 * (k + 2)
+
+
+def test_internal_check_error_has_its_own_exit_code(capsys, monkeypatch):
+    def broken(*args):
+        raise InternalCheckError("degree 1: image outside the kernel")
+
+    monkeypatch.setattr(cohomology, "cohomology_dims", broken)
+    code, out, err = run(
+        capsys, "cohomology", DATA / "n2.alg", "--max-degree", "1", "--format", "json"
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: degree 1: image outside the kernel\n"

@@ -21,7 +21,8 @@ from compatlie.cohomology import (
 )
 from compatlie.core import CompatiblePair, LieBracket, RepPair, adjoint_rep
 from compatlie.linalg import Matrix, SubspaceBasis, rank_bareiss, vec
-from compatlie.multilinear import Cochain, ce_adjoint
+from compatlie.multilinear import Cochain, ce_adjoint, ce_coboundary
+from compatlie.poisson import degree_block, lie_poisson_rep
 from support import n2, rand_compatible_pair, rand_rep, sl2
 
 
@@ -140,16 +141,57 @@ def unit_tuple_slice(pair, rep, degree):
     return basis, Matrix.from_columns(cols, rows=rows)
 
 
-def test_coboundary_matrix_equals_unit_tuple_build():
-    rng = Random(23)
+def arm_test_cases(rng):
+    """(pair, rep) inputs for the operator builders: adjoint and random
+    modules on dims 2-3, the Poisson degree blocks of one pair, and one
+    dim-4 pair with adjoint and random coefficients."""
+    cases = []
     for trial in range(8):
         pair = rand_compatible_pair(rng, rng.randint(2, 3))
-        rep = None if trial % 2 == 0 else rand_rep(rng, pair)
+        cases.append((pair, None if trial % 2 == 0 else rand_rep(rng, pair)))
+    pair = rand_compatible_pair(rng, 3)
+    poly = lie_poisson_rep(pair, 2)
+    cases += [(pair, degree_block(poly, d)) for d in range(3)]
+    pair = rand_compatible_pair(rng, 4)
+    cases += [(pair, None), (pair, rand_rep(rng, pair))]
+    return cases
+
+
+def test_coboundary_matrix_equals_unit_tuple_build():
+    for pair, rep in arm_test_cases(Random(23)):
         for n in range(pair.dim + 1):
             sl = coboundary_matrix(pair, rep, n)
             basis, matrix = unit_tuple_slice(pair, rep, n)
             assert sl.basis == basis
             assert sl.matrix == matrix
+
+
+def unit_cochain_ce_matrix(pair, rep, degree, which):
+    """The arm matrix built one unit cochain at a time through
+    `ce_coboundary`."""
+    dim, m = pair.dim, rep.module_dim
+    pi = (pair.bracket1 if which == 1 else pair.bracket2).to_cochain()
+    action = rep.rho if which == 1 else rep.mu
+    flat_dim = Cochain.flat_dim(degree, dim, m)
+    cols = []
+    for idx in range(flat_dim):
+        unit = tuple(int(i == idx) for i in range(flat_dim))
+        f = Cochain.from_flat(degree, dim, m, unit)
+        cols.append(ce_coboundary(pi, action, f).flatten())
+    return Matrix.from_columns(cols, rows=Cochain.flat_dim(degree + 1, dim, m))
+
+
+def test_ce_matrix_equals_unit_cochain_build():
+    for pair, rep in arm_test_cases(Random(31)):
+        rep = adjoint_rep(pair) if rep is None else rep
+        for n in range(pair.dim + 2):
+            for which in (1, 2):
+                got = ce_matrix(pair, rep, n, which)
+                assert got == unit_cochain_ce_matrix(pair, rep, n, which)
+                assert got.shape() == (
+                    comb(pair.dim, n + 1) * rep.module_dim,
+                    comb(pair.dim, n) * rep.module_dim,
+                )
 
 
 def test_cohomology_dims_equal_cohomology_dim_per_degree():

@@ -1,7 +1,10 @@
+import ast
+from pathlib import Path
 from random import Random
 
 import pytest
 
+import compatlie
 from compatlie.core import (
     CompatiblePair,
     LieBracket,
@@ -148,3 +151,17 @@ def test_bracket_entries_roundtrip():
     b = sl2()
     rebuilt = LieBracket(3, {key: c for key, c in b.entries()})
     assert rebuilt == b
+
+
+def test_library_has_no_assert_statements():
+    # `python -O` strips assert statements; invariants raise
+    # InternalCheckError instead
+    files = sorted(Path(compatlie.__file__).parent.glob("*.py"))
+    assert files
+    found = [
+        f"{f.name}:{node.lineno}"
+        for f in files
+        for node in ast.walk(ast.parse(f.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -1,6 +1,8 @@
 from fractions import Fraction
 from random import Random
 
+import pytest
+
 from compatlie.linalg import (
     Matrix,
     SubspaceBasis,
@@ -159,3 +161,51 @@ def test_extend_basis_empty_inputs():
     assert extend_basis([v], [], 2) == []
     assert extend_basis([], [v, v], 2) == [v]
     assert extend_basis([v], [vec([2, 4]), vec([0, 1])], 2) == [vec([0, 1])]
+
+
+def dense_product(a, b):
+    """The dense formula: entry (i, j) is sum(x * y) over row i of a and
+    column j of b."""
+    return [
+        [sum(a[i, k] * b[k, j] for k in range(a.cols)) for j in range(b.cols)]
+        for i in range(a.rows)
+    ]
+
+
+def test_mul_equals_dense_sum_formula():
+    rng = Random(43)
+
+    def rand_sparse(rows, cols):
+        density = rng.choice((0.0, 0.15, 0.5, 1.0))
+        m = [
+            [
+                Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                if rng.random() < density
+                else 0
+                for _ in range(cols)
+            ]
+            for _ in range(rows)
+        ]
+        # whole zero rows and columns
+        if rows and rng.random() < 0.5:
+            m[rng.randrange(rows)] = [0] * cols
+        if cols and rng.random() < 0.5:
+            j = rng.randrange(cols)
+            for r in m:
+                r[j] = 0
+        return Matrix(m) if rows else Matrix.zeros(0, cols)
+
+    shapes = [(0, k, m) for k in (0, 1, 3) for m in (0, 2)]
+    shapes += [(k, 0, m) for k in (1, 3) for m in (0, 2)]
+    shapes += [
+        (rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)) for _ in range(80)
+    ]
+    for rows, inner, cols in shapes:
+        a, b = rand_sparse(rows, inner), rand_sparse(inner, cols)
+        prod = a * b
+        assert prod.shape() == (rows, cols)
+        expected = dense_product(a, b)
+        assert [list(prod.row(i)) for i in range(rows)] == expected
+        assert all(type(prod[i, j]) is Fraction for i in range(rows) for j in range(cols))
+    with pytest.raises(ValueError):
+        Matrix.zeros(2, 3) * Matrix.zeros(2, 3)

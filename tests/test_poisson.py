@@ -127,7 +127,7 @@ def test_leibniz_rule():
 def test_reduced_dims_abelian_pair():
     # every differential vanishes: the table is the raw cochain dims
     pair = abelian_pair(2)
-    table = reduced_bihamiltonian_dims(pair, 2, 2)
+    table = reduced_bihamiltonian_dims(pair, lie_poisson_rep(pair, 2), 2)
     for d in range(3):
         block_dim = comb(2 + d - 1, d) if d > 0 else 1
         for n in range(3):
@@ -137,7 +137,7 @@ def test_reduced_dims_abelian_pair():
 def test_degree0_column_matches_trivial_module():
     rng = Random(13)
     pair = rand_compatible_pair(rng, 2)
-    table = reduced_bihamiltonian_dims(pair, 1, 2)
+    table = reduced_bihamiltonian_dims(pair, lie_poisson_rep(pair, 1), 2)
     from compatlie.core import RepPair
 
     triv = RepPair.zero(2, 1)
@@ -149,7 +149,7 @@ def test_n2_zero_poisson_table_frozen():
     # regression fixture for (N2, 0), polynomial degree <= 1, cochain
     # degree <= 2; every rank checked by the fraction-free route too
     pair = n2_zero_pair()
-    table = reduced_bihamiltonian_dims(pair, 1, 2)
+    table = reduced_bihamiltonian_dims(pair, lie_poisson_rep(pair, 1), 2)
     assert table == FROZEN_N2_TABLE
 
 
