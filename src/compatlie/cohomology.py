@@ -6,11 +6,14 @@ actions agree.  The coboundary is the staircase
 
     D(w_1..w_n) = (d1 w_1, .., d2 w_{i-1} + d1 w_i, .., d2 w_n)
 
-where the arms d1, d2 are the coefficient coboundaries of the two brackets
-(`ce_coboundary`); every matrix here is assembled from their single-copy
-matrices (`ce_matrix`).  Adjoint coefficients (rep=None) are the module
-`adjoint_rep(pair)`; the Nijenhuis-Richardson form (-1)^(n-1)[pi, -]_NR of
-the same arm (`ce_adjoint`) is a test reference.
+where the arms d1, d2 are the Chevalley-Eilenberg coboundaries of the two
+brackets with coefficients rho and mu.  Their single-copy matrices
+(`ce_matrix`) are the only production coboundary: every matrix here is
+assembled from them, and `staircase_coboundary` applies them to the
+flattened components of one tuple.  Adjoint coefficients (rep=None) are the
+module `adjoint_rep(pair)`.  The per-subset sum `ce_coboundary`, its
+Nijenhuis-Richardson form `ce_coboundary_nr` and the adjoint form
+(-1)^(n-1)[pi, -]_NR (`ce_adjoint`) are test references.
 
 Flattening order, fixed for reproducible matrices: component index is the
 outer (slowest) index, then the lexicographic subset, then the target index.
@@ -27,8 +30,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .core import CompatiblePair, InternalCheckError, RepPair, adjoint_rep
-from .linalg import Matrix, SubspaceBasis, Vec, extend_basis, in_span, vzero
-from .multilinear import Cochain, ce_coboundary, sort_with_sign
+from .linalg import Matrix, SubspaceBasis, Vec, extend_basis, in_span, vadd, vzero
+from .multilinear import Cochain, sort_with_sign
 
 
 class CochainTuple:
@@ -137,24 +140,29 @@ def staircase_coboundary(
     pair: CompatiblePair, t: CochainTuple, rep: RepPair | None = None
 ) -> CochainTuple:
     """The degree-(n+1) image of a degree-n tuple; rep=None means adjoint
-    coefficients.  A degree-0 input must lie in the degree-0 subspace."""
+    coefficients.  A degree-0 input must lie in the degree-0 subspace.
+
+    Each arm matrix `ce_matrix` is built once and applied to the flattened
+    components."""
     rep = adjoint_rep(pair) if rep is None else rep
-    pi1 = pair.bracket1.to_cochain()
-    pi2 = pair.bracket2.to_cochain()
-    arm1 = lambda w: ce_coboundary(pi1, rep.rho, w)  # noqa: E731
-    arm2 = lambda w: ce_coboundary(pi2, rep.mu, w)  # noqa: E731
     n = t.degree
+    flats = [c.flatten() for c in t.components]
+    d1 = ce_matrix(pair, rep, n, 1)
     if n == 0:
-        x = t.components[0]
-        ok, _ = in_span(c0_basis(pair, rep), x.value(()))
+        ok, _ = in_span(c0_basis(pair, rep), flats[0])
         if not ok:
             raise ValueError("degree-0 element is outside the degree-0 space")
-        return CochainTuple(1, [arm1(x)])
-    comps = [arm1(t.components[0])]
-    for i in range(1, n):
-        comps.append(arm2(t.components[i - 1]) + arm1(t.components[i]))
-    comps.append(arm2(t.components[n - 1]))
-    return CochainTuple(n + 1, comps)
+        images = [d1.matvec(flats[0])]
+    else:
+        d2 = ce_matrix(pair, rep, n, 2)
+        one = [d1.matvec(f) for f in flats]
+        two = [d2.matvec(f) for f in flats]
+        images = [one[0]] + [vadd(two[i - 1], one[i]) for i in range(1, n)]
+        images.append(two[-1])
+    return CochainTuple(
+        n + 1,
+        [Cochain.from_flat(n + 1, t.source_dim, t.target_dim, v) for v in images],
+    )
 
 
 @dataclass(frozen=True)
@@ -251,7 +259,7 @@ def derivation_spaces(pair: CompatiblePair) -> tuple[SubspaceBasis, SubspaceBasi
 def ce_matrix(pair: CompatiblePair, rep: RepPair, degree: int, which: int) -> Matrix:
     """Matrix of the coefficient coboundary of bracket `which` (1 or 2) on
     the single-copy space of arity-`degree` cochains: the column of a unit
-    cochain is its `ce_coboundary`.
+    cochain is its coboundary (`ce_coboundary` is the test reference).
 
     The Chevalley-Eilenberg sum is scattered straight from the nonzeros.
     For each (degree+1)-subset T, the entry a[t', t] of the action of

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, Vec, frac, is_zero_vec, vadd, vscale, vzero
+from .linalg import Matrix, Vec, frac
 from .multilinear import Cochain, nr_bracket
 
 
@@ -56,12 +56,17 @@ class InternalCheckError(RuntimeError):
     non-representation made a coboundary image leave the kernel."""
 
 
-def _witness_from_cochain(law: str, c: Cochain) -> Verdict:
-    hit = c.first_nonzero()
-    if hit is None:
-        return OK
-    subset, value = hit
-    return Verdict(False, Witness(law, tuple(i + 1 for i in subset), value))
+def first_failure(checks) -> Verdict:
+    """OK, or the witness of the first (law, cochain) check whose cochain
+    is nonzero: its lexicographically first nonzero basis tuple (1-based)
+    and the value there.  `checks` may be a generator, so later cochains
+    are only computed while the earlier ones vanish."""
+    for law, c in checks:
+        hit = c.first_nonzero()
+        if hit is not None:
+            subset, value = hit
+            return Verdict(False, Witness(law, tuple(i + 1 for i in subset), value))
+    return OK
 
 
 class LieBracket:
@@ -163,7 +168,7 @@ def _inverse(g: Matrix) -> Matrix:
 def validate_bracket(b: LieBracket) -> Verdict:
     """ok iff [pi, pi]_NR = 0; otherwise the first basis triple where the
     Jacobiator does not vanish, with its value."""
-    return _witness_from_cochain("jacobi", nr_bracket(b.to_cochain(), b.to_cochain()))
+    return first_failure([("jacobi", nr_bracket(b.to_cochain(), b.to_cochain()))])
 
 
 def validate_pair(b1: LieBracket, b2: LieBracket) -> Verdict:
@@ -171,18 +176,14 @@ def validate_pair(b1: LieBracket, b2: LieBracket) -> Verdict:
     vanishes, so that every pencil k1*pi1 + k2*pi2 is a Lie bracket."""
     if b1.dim != b2.dim:
         raise ValueError("brackets live on spaces of different dimension")
-    v = _witness_from_cochain(
-        "jacobi-1", nr_bracket(b1.to_cochain(), b1.to_cochain())
-    )
-    if not v:
-        return v
-    v = _witness_from_cochain(
-        "jacobi-2", nr_bracket(b2.to_cochain(), b2.to_cochain())
-    )
-    if not v:
-        return v
-    return _witness_from_cochain(
-        "mixed-jacobi", nr_bracket(b1.to_cochain(), b2.to_cochain())
+    p1, p2 = b1.to_cochain(), b2.to_cochain()
+    return first_failure(
+        (law, nr_bracket(p, q))
+        for law, p, q in (
+            ("jacobi-1", p1, p1),
+            ("jacobi-2", p2, p2),
+            ("mixed-jacobi", p1, p2),
+        )
     )
 
 
@@ -315,16 +316,3 @@ def adjoint_rep(pair: CompatiblePair) -> RepPair:
     return RepPair(
         pair.dim, pair.bracket1.ad_matrices(), pair.bracket2.ad_matrices()
     )
-
-
-def apply_rep_to_vector(mats, x: Vec, v: Vec) -> Vec:
-    """rho(x)v for x given by coordinates: sum_i x_i rho(e_i) v."""
-    out = vzero(len(v))
-    for i, c in enumerate(x):
-        if c != 0:
-            out = vadd(out, vscale(c, mats[i].matvec(v)))
-    return out
-
-
-def is_zero_value(v: Vec) -> bool:
-    return is_zero_vec(v)

@@ -8,9 +8,11 @@ from g to h.  The direct-sum brackets
     {(x,u),(y,v)}  = ({x,y}_g,  mu(x)v  - mu(y)u  + w2(x,y) + {u,v}_h)
 
 form a compatible pair exactly when nine equations hold; the validator
-reports which equation fails, at which basis tuple, with the value.
-(Equation 8 is the mu/w2 twin of equation 7, the cocycle condition; the
-failing side is always reported as lhs - rhs.)
+reports which equation fails, at which basis tuple, with the value (the
+failing side is always reported as lhs - rhs).  Equations 7-9 together say
+that (w1, w2) is a 2-cocycle of the two-bracket complex of g with
+coefficients (rho, mu): they are the three components d1 w1, d2 w2 and
+d2 w1 + d1 w2 of its staircase coboundary, built from the `ce_matrix` arms.
 
 The same data can be packaged as a pair of lifted cochains
 (rho^ + w1^, mu^ + w2^) in the graded algebra of the product pair, twisted
@@ -39,8 +41,9 @@ from .core import (
     RepPair,
     Verdict,
     Witness,
+    first_failure,
 )
-from .linalg import Matrix, Vec, is_zero_vec, vadd, vscale, vsub, vzero
+from .linalg import Matrix, Vec, is_zero_vec, vadd, vsub
 from .multilinear import (
     Cochain,
     gauge_series_coefficients,
@@ -105,15 +108,6 @@ def _basis(dim, i):
     return tuple(v)
 
 
-def _apply(mats, w: Vec, v: Vec) -> Vec:
-    """(sum_k w_k mats[k]) v."""
-    out = vzero(len(v))
-    for k, c in enumerate(w):
-        if c != 0:
-            out = vadd(out, vscale(c, mats[k].matvec(v)))
-    return out
-
-
 def _matrix_witness(law, at, diff: Matrix) -> Verdict:
     flat = tuple(x for i in range(diff.rows) for x in diff.row(i))
     return Verdict(False, Witness(law, at, flat))
@@ -121,20 +115,14 @@ def _matrix_witness(law, at, diff: Matrix) -> Verdict:
 
 def validate_extension_datum(datum: ExtensionDatum) -> Verdict:
     """The nine structure equations, checked in order on basis tuples; the
-    witness records the equation id, the (1-based) tuple, and lhs - rhs."""
+    witness records the equation id, the (1-based) tuple, and lhs - rhs.
+    Equations 7-9 are read off the staircase coboundary of (w1, w2)."""
     g, h = datum.base, datum.fibre
     n, m = g.dim, h.dim
     rho, mu = datum.rho, datum.mu
     w1, w2 = datum.omega1, datum.omega2
     ad_h = h.bracket1.ad_matrices()
     AD_h = h.bracket2.ad_matrices()
-
-    def ad_of(mats, u):
-        out = Matrix.zeros(m, m)
-        for a, c in enumerate(u):
-            if c != 0:
-                out = out + mats[a].scale(c)
-        return out
 
     # 1: rho([x,y]) = [rho x, rho y] - ad_h(w1(x,y))
     # (the sign matches the direct-sum Jacobi identity on (x,0),(y,0),(0,u):
@@ -143,14 +131,14 @@ def validate_extension_datum(datum: ExtensionDatum) -> Verdict:
     for i in range(n):
         for j in range(i + 1, n):
             lhs = ad_of_rep(rho, g.bracket1.bracket_basis(i, j), m)
-            rhs = rho[i].commutator(rho[j]) - ad_of(ad_h, w1.value((i, j)))
+            rhs = rho[i].commutator(rho[j]) - ad_of_rep(ad_h, w1.value((i, j)), m)
             if not (lhs - rhs).is_zero():
                 return _matrix_witness("ext-1", (i + 1, j + 1), lhs - rhs)
     # 2: mu({x,y}) = [mu x, mu y] - AD_h(w2(x,y))
     for i in range(n):
         for j in range(i + 1, n):
             lhs = ad_of_rep(mu, g.bracket2.bracket_basis(i, j), m)
-            rhs = mu[i].commutator(mu[j]) - ad_of(AD_h, w2.value((i, j)))
+            rhs = mu[i].commutator(mu[j]) - ad_of_rep(AD_h, w2.value((i, j)), m)
             if not (lhs - rhs).is_zero():
                 return _matrix_witness("ext-2", (i + 1, j + 1), lhs - rhs)
     # 3 and 4: the actions are derivations of the fibre brackets
@@ -179,8 +167,8 @@ def validate_extension_datum(datum: ExtensionDatum) -> Verdict:
             rhs = (
                 rho[i].commutator(mu[j])
                 + mu[i].commutator(rho[j])
-                - ad_of(ad_h, w2.value((i, j)))
-                - ad_of(AD_h, w1.value((i, j)))
+                - ad_of_rep(ad_h, w2.value((i, j)), m)
+                - ad_of_rep(AD_h, w1.value((i, j)), m)
             )
             if not (lhs - rhs).is_zero():
                 return _matrix_witness("ext-5", (i + 1, j + 1), lhs - rhs)
@@ -209,20 +197,19 @@ def validate_extension_datum(datum: ExtensionDatum) -> Verdict:
                         False,
                         Witness("ext-6", (i + 1, a + 1, b + 1), vsub(lhs, rhs)),
                     )
-    # 7, 8, 9: the cocycle-shaped equations on base triples
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                v = _cocycle_equation("ext-7", g.bracket1, rho, w1, (i, j, k))
-                if not v:
-                    return v
-                v = _cocycle_equation("ext-8", g.bracket2, mu, w2, (i, j, k))
-                if not v:
-                    return v
-                v = _mixed_cocycle_equation(datum, (i, j, k))
-                if not v:
-                    return v
-    return OK
+    # 7, 8, 9: (w1, w2) is a 2-cocycle of the two-bracket complex of g with
+    # coefficients (rho, mu): D(w1, w2) = (d1 w1, d2 w1 + d1 w2, d2 w2) = 0.
+    # The first failing base triple is reported; on one triple ext-7 comes
+    # before ext-8 and ext-8 before ext-9 (the sort is stable).
+    d7, d9, d8 = staircase_coboundary(
+        g, CochainTuple(2, [w1, w2]), RepPair(m, rho, mu)
+    ).components
+    failing = [
+        (law, c) for law, c in (("ext-7", d7), ("ext-8", d8), ("ext-9", d9))
+        if not c.is_zero()
+    ]
+    failing.sort(key=lambda check: check[1].first_nonzero()[0])
+    return first_failure(failing)
 
 
 def ad_of_rep(mats, w: Vec, m: int) -> Matrix:
@@ -232,74 +219,6 @@ def ad_of_rep(mats, w: Vec, m: int) -> Matrix:
         if c != 0:
             out = out + mats[k].scale(c)
     return out
-
-
-def _cocycle_equation(law, bracket, mats, w, triple) -> Verdict:
-    """r(x) w(y,z) + r(z) w(x,y) - r(y) w(x,z)
-    - w([x,y],z) - w([z,x],y) - w([y,z],x) = 0 at a basis triple."""
-    i, j, k = triple
-    lhs = vadd(
-        vsub(
-            vadd(
-                mats[i].matvec(w.value((j, k))),
-                mats[k].matvec(w.value((i, j))),
-            ),
-            mats[j].matvec(w.value((i, k))),
-        ),
-        vscale(
-            -1,
-            vadd(
-                vadd(
-                    w.eval_vector_first(bracket.bracket_basis(i, j), (k,)),
-                    vscale(
-                        -1,
-                        w.eval_vector_first(bracket.bracket_basis(i, k), (j,)),
-                    ),
-                ),
-                w.eval_vector_first(bracket.bracket_basis(j, k), (i,)),
-            ),
-        ),
-    )
-    if is_zero_vec(lhs):
-        return OK
-    return Verdict(False, Witness(law, (i + 1, j + 1, k + 1), lhs))
-
-
-def _mixed_cocycle_equation(datum: ExtensionDatum, triple) -> Verdict:
-    """Equation 9: the two cross-coboundaries cancel,
-    d_{pi1+rho} w2 + d_{pi2+mu} w1 = 0 at a basis triple, written out as the
-    displayed sums."""
-    g = datum.base
-    rho, mu = datum.rho, datum.mu
-    w1, w2 = datum.omega1, datum.omega2
-    i, j, k = triple
-    total = vzero(datum.fibre_dim)
-    for mats, w, br in ((rho, w2, g.bracket1), (mu, w1, g.bracket2)):
-        part = vadd(
-            vsub(
-                vadd(
-                    mats[i].matvec(w.value((j, k))),
-                    mats[k].matvec(w.value((i, j))),
-                ),
-                mats[j].matvec(w.value((i, k))),
-            ),
-            vscale(
-                -1,
-                vadd(
-                    vadd(
-                        w.eval_vector_first(br.bracket_basis(i, j), (k,)),
-                        vscale(
-                            -1, w.eval_vector_first(br.bracket_basis(i, k), (j,))
-                        ),
-                    ),
-                    w.eval_vector_first(br.bracket_basis(j, k), (i,)),
-                ),
-            ),
-        )
-        total = vadd(total, part)
-    if is_zero_vec(total):
-        return OK
-    return Verdict(False, Witness("ext-9", (i + 1, j + 1, k + 1), total))
 
 
 def assemble_brackets(datum: ExtensionDatum) -> tuple[LieBracket, LieBracket]:
@@ -585,14 +504,7 @@ def maurer_cartan_verdict(datum: ExtensionDatum) -> Verdict:
         ("mc-2", nr_bracket(a2, p2) + nr_bracket(p2, p2).scale(half)),
         ("mc-3", nr_bracket(a1, p2) + nr_bracket(a2, p1) + nr_bracket(p1, p2)),
     ]
-    for law, c in checks:
-        hit = c.first_nonzero()
-        if hit is not None:
-            subset, value = hit
-            return Verdict(
-                False, Witness(law, tuple(i + 1 for i in subset), value)
-            )
-    return OK
+    return first_failure(checks)
 
 
 def gauge_transform_nr(datum: ExtensionDatum, xi: Matrix) -> ExtensionDatum:

@@ -481,6 +481,8 @@ def ce_coboundary(pi: Cochain, rho, f: Cochain) -> Cochain:
 
     evaluated exactly on increasing basis subsets.  rho is one target-space
     matrix per source basis vector; pi is an arity-2 endomorphism cochain.
+    The production coboundary is the arm matrix `cohomology.ce_matrix`;
+    this sum is the reference it is tested against.
     """
     n = f.arity
     sd = f.source_dim

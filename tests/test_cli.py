@@ -307,6 +307,35 @@ def test_table_reports_match_recorded_digests(capsys, monkeypatch):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (name, command)
 
 
+# (exit code, sha256) of the JSON verdict reports, recorded before
+# equations 7-9 of an extension datum and the equivalence check of `deform`
+# were read off the staircase coboundary; run from tests/data
+VERDICT_DIGESTS = {
+    ("check", "abelian2.alg", "--seed", "3"): (0, "9aa6d233397f308499d27112d4631b2baa700c008334eaae3127e2a4994ea50f"),
+    ("check", "bad_jacobi.alg", "--seed", "3"): (1, "7ca93836c4300de6cd99a21eed1936d86bf295bc8328fc40095e2c04424f73e9"),
+    ("check", "heisenberg_ext.alg", "--seed", "3"): (0, "46790950ac70c8d5e43e913c6af5b8b37f73b8802f6378854b7c662681796bed"),
+    ("check", "n2.alg", "--seed", "3"): (0, "739b388a62554954bfe2067fc09da73b9503f62db19433ed21d4f44ea82eea0f"),
+    ("check", "nonabelian_ext.alg", "--seed", "3"): (0, "e875cb2c6e46de2ca088318eb1a4280cb199492571e7ce03b7dc923a93586726"),
+    ("check", "semidirect_scaled.alg", "--seed", "3"): (0, "924a1c024aa2530a3631dcfbcc85743e3a5bd18dd253cb3a15714bfa3b7fde69"),
+    ("check", "sl2_pair.alg", "--seed", "3"): (0, "c0fb0dfd7101151095d0b4d4de1f25b5bf1e624d8bcb8f434f124d05ca86bda4"),
+    ("deform", "n2.alg", "--omega", "w", "--nijenhuis", "N"): (0, "196239ee41fcc0e665750cca3c35a66bebed3e107c42bc488a36f92f05242d8d"),
+    ("extend", "heisenberg_ext.alg", "--mode", "abelian"): (0, "2b85c82aead37bc21851ef036a31d466cd411570cad5873e6b8cf18d70ba011f"),
+    ("extend", "semidirect_scaled.alg", "--mode", "abelian", "--xi", "xi"): (0, "ba1f4494c8189e375bb54a04b123cab6866e039625186f8bcc7bec8901e5ff91"),
+    ("extend", "nonabelian_ext.alg", "--mode", "nonabelian", "--xi", "xi"): (0, "c2c8f37178cbaaafa757e395335bd77d895545e28106c8a9027121f0c8e52a6a"),
+}
+
+
+def test_verdict_reports_match_recorded_digests(capsys, monkeypatch):
+    monkeypatch.chdir(DATA)
+    assert {argv[1] for argv in VERDICT_DIGESTS if argv[0] == "check"} == {
+        p.name for p in DATA.glob("*.alg")
+    }
+    for argv, (expected_code, digest) in VERDICT_DIGESTS.items():
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == expected_code, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
 def test_each_table_builds_each_arm_once(capsys, monkeypatch):
     # every ce_matrix build is keyed by (table, module, degree, bracket); a
     # key seen twice is a rebuilt arm

@@ -121,9 +121,50 @@ def test_adjoint_equals_coefficient_flavor_with_adjoint_rep():
         )
 
 
+def ce_staircase(pair, t, rep=None):
+    """The staircase written with the per-subset Chevalley-Eilenberg sums
+    `ce_coboundary` as arms (degree 0: the first arm alone)."""
+    rep = adjoint_rep(pair) if rep is None else rep
+
+    def d1(w):
+        return ce_coboundary(pair.bracket1.to_cochain(), rep.rho, w)
+
+    def d2(w):
+        return ce_coboundary(pair.bracket2.to_cochain(), rep.mu, w)
+
+    w = t.components
+    n = t.degree
+    if n == 0:
+        return CochainTuple(1, [d1(w[0])])
+    comps = [d1(w[0])]
+    comps += [d2(w[i - 1]) + d1(w[i]) for i in range(1, n)]
+    comps.append(d2(w[n - 1]))
+    return CochainTuple(n + 1, comps)
+
+
+def test_staircase_coboundary_equals_ce_staircase():
+    # the production staircase (`ce_matrix` arms applied to the flattened
+    # components) against the per-subset sums, on random tuples and modules
+    rng = Random(37)
+    for trial in range(12):
+        pair = rand_compatible_pair(rng, rng.randint(2, 3))
+        rep = None if trial % 3 == 0 else rand_rep(rng, pair)
+        m = pair.dim if rep is None else rep.module_dim
+        for n in range(pair.dim + 2):
+            if n == 0:
+                c0 = c0_basis(pair, rep).as_column_matrix()
+                x = c0.matvec([rng.randint(-2, 2) for _ in range(c0.cols)])
+                t = CochainTuple(0, [Cochain.from_element(x, pair.dim)])
+            else:
+                flat = [rng.randint(-2, 2) for _ in range(tuple_space_dim(n, pair.dim, m))]
+                t = CochainTuple.from_flat(n, pair.dim, m, flat)
+            assert staircase_coboundary(pair, t, rep) == ce_staircase(pair, t, rep)
+
+
 def unit_tuple_slice(pair, rep, degree):
-    """The staircase matrix built one unit tuple at a time through
-    `staircase_coboundary` (degree 0: one degree-0 basis vector at a time)."""
+    """The staircase matrix built one unit tuple at a time through the
+    per-subset reference `ce_staircase` (degree 0: one degree-0 basis
+    vector at a time)."""
     dim = pair.dim
     m = dim if rep is None else rep.module_dim
     rows = tuple_space_dim(degree + 1, dim, m) if degree + 1 <= dim else 0
@@ -137,7 +178,7 @@ def unit_tuple_slice(pair, rep, degree):
         ]
         basis = SubspaceBasis(flat_dim, tuple(vec(u) for u in units))
         tuples = [CochainTuple.from_flat(degree, dim, m, u) for u in units]
-    cols = [staircase_coboundary(pair, t, rep).flatten() for t in tuples]
+    cols = [ce_staircase(pair, t, rep).flatten() for t in tuples]
     return basis, Matrix.from_columns(cols, rows=rows)
 
 

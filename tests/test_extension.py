@@ -1,12 +1,16 @@
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 import pytest
 
 from compatlie.core import (
+    OK,
     CompatiblePair,
     LieBracket,
     RepPair,
+    Verdict,
+    Witness,
     adjoint_rep,
     validate_pair,
     validate_rep,
@@ -26,9 +30,16 @@ from compatlie.extension import (
     twisted_boundary_matrices,
     validate_extension_datum,
 )
-from compatlie.linalg import Matrix, vec
+from compatlie.linalg import Matrix, is_zero_vec, vadd, vec, vscale, vsub
 from compatlie.multilinear import Cochain, nr_bracket
-from support import n2, rand_compatible_pair, rand_matrix, rand_fraction
+from support import (
+    heisenberg3,
+    n2,
+    rand_compatible_pair,
+    rand_fraction,
+    rand_matrix,
+    rand_rep,
+)
 
 # -- fixtures ----------------------------------------------------------------
 
@@ -210,6 +221,127 @@ def test_maurer_cartan_path_matches_nine_equations():
     for _ in range(60):
         datum = rand_datum(rng)
         assert maurer_cartan_verdict(datum).ok == validate_extension_datum(datum).ok
+
+
+def cocycle_sum(bracket, mats, w, triple):
+    """r(x) w(y,z) + r(z) w(x,y) - r(y) w(x,z)
+    - w([x,y],z) - w([z,x],y) - w([y,z],x) at a basis triple, written out
+    term by term."""
+    i, j, k = triple
+    return vadd(
+        vsub(
+            vadd(mats[i].matvec(w.value((j, k))), mats[k].matvec(w.value((i, j)))),
+            mats[j].matvec(w.value((i, k))),
+        ),
+        vscale(
+            -1,
+            vadd(
+                vadd(
+                    w.eval_vector_first(bracket.bracket_basis(i, j), (k,)),
+                    vscale(-1, w.eval_vector_first(bracket.bracket_basis(i, k), (j,))),
+                ),
+                w.eval_vector_first(bracket.bracket_basis(j, k), (i,)),
+            ),
+        ),
+    )
+
+
+def per_triple_cocycle_failures(datum):
+    """Every (law, 1-based triple, value) where equations 7-9 fail, from the
+    hand-expanded per-triple sums: triples in lexicographic order, and
+    ext-7, ext-8, ext-9 on each triple."""
+    g = datum.base
+    rho, mu = datum.rho, datum.mu
+    w1, w2 = datum.omega1, datum.omega2
+    out = []
+    for triple in combinations(range(g.dim), 3):
+        for law, value in (
+            ("ext-7", cocycle_sum(g.bracket1, rho, w1, triple)),
+            ("ext-8", cocycle_sum(g.bracket2, mu, w2, triple)),
+            (
+                "ext-9",
+                vadd(
+                    cocycle_sum(g.bracket1, rho, w2, triple),
+                    cocycle_sum(g.bracket2, mu, w1, triple),
+                ),
+            ),
+        ):
+            if not is_zero_vec(value):
+                out.append((law, tuple(i + 1 for i in triple), value))
+    return out
+
+
+def broken_cocycle_datum(rng: Random, nonabelian: bool) -> ExtensionDatum:
+    """A valid datum on a base of dim 3 or 4 with one omega entry changed
+    so that only equations 7-9 can fail.  Abelian: a random module and the
+    coboundary of a random xi.  Nonabelian: the fibre is a Heisenberg pair
+    and xi gauges the product datum; the changed entry is central, so
+    equations 1, 2 and 5 do not see it."""
+    g = rand_compatible_pair(rng, rng.randint(3, 4))
+    if nonabelian:
+        c = rng.choice([0, 1, -2, Fraction(1, 2)])
+        h2 = LieBracket.from_cochain(heisenberg3().to_cochain().scale(c))
+        datum = product_datum(g, CompatiblePair(heisenberg3(), h2))
+        targets = [2]
+    else:
+        rep = rand_rep(rng, g, max_module_dim=2)
+        zero = Cochain.zero(2, g.dim, rep.module_dim)
+        datum = ExtensionDatum(
+            g, abelian(rep.module_dim), rep.rho, rep.mu, zero, zero
+        )
+        targets = range(rep.module_dim)
+    datum = gauge_transform(
+        datum, rand_matrix(rng, datum.fibre_dim, datum.base_dim, -1, 1)
+    )
+    assert validate_extension_datum(datum).ok
+    key = (rng.choice(list(combinations(range(g.dim), 2))), rng.choice(targets))
+    bump = rng.choice([-2, -1, Fraction(1, 2), 1, 3])
+    w1, w2 = datum.omega1, datum.omega2
+    broken = Cochain(2, g.dim, datum.fibre_dim, {key: bump})
+    if rng.random() < 0.5:
+        w1 = w1 + broken
+    else:
+        w2 = w2 + broken
+    return ExtensionDatum(datum.base, datum.fibre, datum.rho, datum.mu, w1, w2)
+
+
+def fixed_cocycle_data():
+    """Four data on a dim-4 base acting trivially on a line, each with the
+    one omega entry w(e1,e2) = f1.  One bracket is [e3,e4] = e1, whose arm
+    fails on (2,3,4) alone, and the other [e1,e3] = e1, whose arm fails on
+    (1,2,3): in two of the four, the law reported on (1,2,3) comes after a
+    law that fails only on (2,3,4)."""
+    heis = LieBracket(4, {(2, 3, 0): 1})
+    affine = LieBracket(4, {(0, 2, 0): 1})
+    act = tuple(Matrix.zeros(1, 1) for _ in range(4))
+    w = Cochain(2, 4, 1, {((0, 1), 0): 1})
+    z = Cochain.zero(2, 4, 1)
+    return [
+        ExtensionDatum(CompatiblePair(b1, b2), abelian(1), act, act, w1, w2)
+        for b1, b2 in ((heis, affine), (affine, heis))
+        for w1, w2 in ((w, z), (z, w))
+    ]
+
+
+def test_cocycle_witnesses_match_per_triple_formulas():
+    # equations 7-9 come from the staircase coboundary of (w1, w2); the
+    # witness (law, triple, value) must be the one the per-triple sums give
+    rng = Random(211)
+    data = fixed_cocycle_data()
+    data += [broken_cocycle_datum(rng, nonabelian=t % 2 == 1) for t in range(40)]
+    shared_triple = earlier_law_later = failed = 0
+    for datum in data:
+        failures = per_triple_cocycle_failures(datum)
+        expected = Verdict(False, Witness(*failures[0])) if failures else OK
+        assert validate_extension_datum(datum) == expected
+        if failures:
+            failed += 1
+            law, at, _ = failures[0]
+            # two laws fail on the reported triple
+            shared_triple += sum(f[1] == at for f in failures) >= 2
+            # a law before the reported one fails, but only on a later triple
+            earlier_law_later += any(f[0] < law for f in failures)
+    assert failed >= 20 and shared_triple >= 5 and earlier_law_later >= 2
 
 
 def test_twisted_differentials_anticommute():
