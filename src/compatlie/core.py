@@ -256,17 +256,28 @@ class RepPair:
         return cls(module_dim, z, z)
 
 
+def combination(mats, coeffs: Vec, dim: int) -> Matrix:
+    """sum_k coeffs[k] * mats[k] as a dim x dim matrix: the action of a
+    general vector when mats[k] is the action of the k-th basis vector.
+    Only nonzero coefficients and entries are visited."""
+    acc = [[Fraction(0)] * dim for _ in range(dim)]
+    for c, mat in zip(coeffs, mats, strict=True):
+        if c:
+            for r in range(dim):
+                row = acc[r]
+                for s, x in enumerate(mat.row(r)):
+                    if x:
+                        row[s] += c * x
+    return Matrix(acc)
+
+
 def _rep_of(bracket: LieBracket, mats, law: str) -> Verdict:
     """rho([e_i, e_j]) = [rho(e_i), rho(e_j)] on all basis pairs."""
     n = bracket.dim
     md = mats[0].rows if mats else 0
     for i in range(n):
         for j in range(i + 1, n):
-            w = bracket.bracket_basis(i, j)
-            lhs = Matrix.zeros(md, md)
-            for k, c in enumerate(w):
-                if c != 0:
-                    lhs = lhs + mats[k].scale(c)
+            lhs = combination(mats, bracket.bracket_basis(i, j), md)
             diff = lhs - mats[i].commutator(mats[j])
             if not diff.is_zero():
                 return Verdict(
@@ -295,13 +306,9 @@ def validate_rep(pair: CompatiblePair, rep: RepPair) -> Verdict:
     md = rep.module_dim
     for i in range(n):
         for j in range(i + 1, n):
-            lhs = Matrix.zeros(md, md)
-            for k, c in enumerate(pair.bracket2.bracket_basis(i, j)):
-                if c != 0:
-                    lhs = lhs + rep.rho[k].scale(c)
-            for k, c in enumerate(pair.bracket1.bracket_basis(i, j)):
-                if c != 0:
-                    lhs = lhs + rep.mu[k].scale(c)
+            lhs = combination(
+                rep.rho, pair.bracket2.bracket_basis(i, j), md
+            ) + combination(rep.mu, pair.bracket1.bracket_basis(i, j), md)
             rhs = rep.rho[i].commutator(rep.mu[j]) - rep.rho[j].commutator(rep.mu[i])
             diff = lhs - rhs
             if not diff.is_zero():

@@ -7,18 +7,23 @@ from g to h.  The direct-sum brackets
     [(x,u),(y,v)]  = ([x,y]_g,  rho(x)v - rho(y)u + w1(x,y) + [u,v]_h)
     {(x,u),(y,v)}  = ({x,y}_g,  mu(x)v  - mu(y)u  + w2(x,y) + {u,v}_h)
 
-form a compatible pair exactly when nine equations hold; the validator
-reports which equation fails, at which basis tuple, with the value (the
-failing side is always reported as lhs - rhs).  Equations 7-9 together say
-that (w1, w2) is a 2-cocycle of the two-bracket complex of g with
-coefficients (rho, mu): they are the three components d1 w1, d2 w2 and
-d2 w1 + d1 w2 of its staircase coboundary, built from the `ce_matrix` arms.
+form a compatible pair exactly when nine equations hold.  The nine
+equations are the blocks of the three Jacobiators of the direct-sum pair,
+which are computed once per datum: on two base vectors and one fibre
+vector they say that rho and mu are actions up to ad of w1 and w2 (1, 2,
+5), on one base and two fibre vectors that the actions are derivations of
+the fibre brackets (3, 4, 6), and on three base vectors that (w1, w2) is a
+2-cocycle of the two-bracket complex of g with coefficients (rho, mu)
+(7-9).  The validator reports which equation fails, at which basis tuple,
+with the value (the failing side is always reported as lhs - rhs).
 
 The same data can be packaged as a pair of lifted cochains
 (rho^ + w1^, mu^ + w2^) in the graded algebra of the product pair, twisted
-by the differentials [pi_i^ + theta_i^, -]; the nine equations are then the
-three Maurer-Cartan identities.  Both routes are implemented independently
-and compared, which cross-validates every lift and sign.
+by the differentials [pi_i^ + theta_i^, -]; the three Maurer-Cartan
+identities are then the same three Jacobiators (Nijenhuis-Richardson), so
+the Maurer-Cartan verdict reads them too.  The lifts (`_anchors`,
+`_mc_elements`) stay for the graded gauge routes and as the tests'
+independent Maurer-Cartan reference.
 
 Gauge transformations by a linear map xi: g -> h act on data; two data give
 isomorphic extensions exactly when they differ by such a transformation,
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .cohomology import CochainTuple, coboundary_matrix, staircase_coboundary
@@ -41,6 +47,7 @@ from .core import (
     RepPair,
     Verdict,
     Witness,
+    combination,
     first_failure,
 )
 from .linalg import Matrix, Vec, is_zero_vec, vadd, vsub
@@ -53,6 +60,7 @@ from .multilinear import (
     lift_rep,
     lift_side2_bracket,
     nr_bracket,
+    nr_compose,
 )
 
 
@@ -84,6 +92,16 @@ class ExtensionDatum:
     def fibre_dim(self):
         return self.fibre.dim
 
+    @cached_property
+    def jacobiators(self) -> tuple[Cochain, Cochain, Cochain]:
+        """(P1.P1, P2.P2, [P1, P2]) for the assembled brackets P1, P2: the
+        Jacobiators of both brackets (halved) and the mixed one.  By
+        Nijenhuis-Richardson they are also the three Maurer-Cartan
+        identities of (rho^ + w1^, mu^ + w2^) in the algebra twisted by the
+        base and fibre brackets."""
+        p1, p2 = (b.to_cochain() for b in assemble_brackets(self))
+        return nr_compose(p1, p1), nr_compose(p2, p2), nr_bracket(p1, p2)
+
 
 @dataclass(frozen=True)
 class Section:
@@ -94,12 +112,6 @@ class Section:
     def shifted(self, embed: Matrix, xi: Matrix) -> "Section":
         """The section sigma + embed . xi."""
         return Section(self.sigma + embed * xi)
-
-
-def _ad_matrix(bracket: LieBracket, u: Vec) -> Matrix:
-    """Matrix of v -> [u, v] in the bracket's algebra."""
-    cols = [bracket.bracket(u, _basis(bracket.dim, b)) for b in range(bracket.dim)]
-    return Matrix.from_columns(cols, rows=bracket.dim)
 
 
 def _basis(dim, i):
@@ -113,112 +125,61 @@ def _matrix_witness(law, at, diff: Matrix) -> Verdict:
     return Verdict(False, Witness(law, at, flat))
 
 
+# per Jacobiator, the law of its block on two base vectors and one fibre
+# vector (an action law), on one base vector and two fibre vectors (a
+# derivation law) and on three base vectors (a cocycle law)
+_BLOCK_LAWS = (
+    ("ext-1", "ext-3", "ext-7"),
+    ("ext-2", "ext-4", "ext-8"),
+    ("ext-5", "ext-6", "ext-9"),
+)
+
+
 def validate_extension_datum(datum: ExtensionDatum) -> Verdict:
-    """The nine structure equations, checked in order on basis tuples; the
-    witness records the equation id, the (1-based) tuple, and lhs - rhs.
-    Equations 7-9 are read off the staircase coboundary of (w1, w2)."""
-    g, h = datum.base, datum.fibre
-    n, m = g.dim, h.dim
-    rho, mu = datum.rho, datum.mu
-    w1, w2 = datum.omega1, datum.omega2
-    ad_h = h.bracket1.ad_matrices()
-    AD_h = h.bracket2.ad_matrices()
+    """The nine structure equations, read off the blocks of the datum's
+    Jacobiators; the witness records the equation id, the (1-based) tuple,
+    and lhs - rhs there.
 
-    # 1: rho([x,y]) = [rho x, rho y] - ad_h(w1(x,y))
-    # (the sign matches the direct-sum Jacobi identity on (x,0),(y,0),(0,u):
-    #  [rho x, rho y]v = rho([x,y])v + [w1(x,y), v]_h, and the unperturbed
-    #  mixed equation 5 below, whose corresponding terms carry minus signs)
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = ad_of_rep(rho, g.bracket1.bracket_basis(i, j), m)
-            rhs = rho[i].commutator(rho[j]) - ad_of_rep(ad_h, w1.value((i, j)), m)
-            if not (lhs - rhs).is_zero():
-                return _matrix_witness("ext-1", (i + 1, j + 1), lhs - rhs)
-    # 2: mu({x,y}) = [mu x, mu y] - AD_h(w2(x,y))
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = ad_of_rep(mu, g.bracket2.bracket_basis(i, j), m)
-            rhs = mu[i].commutator(mu[j]) - ad_of_rep(AD_h, w2.value((i, j)), m)
-            if not (lhs - rhs).is_zero():
-                return _matrix_witness("ext-2", (i + 1, j + 1), lhs - rhs)
-    # 3 and 4: the actions are derivations of the fibre brackets
-    for law, mats, br in (("ext-3", rho, h.bracket1), ("ext-4", mu, h.bracket2)):
-        for i in range(n):
-            for a in range(m):
-                for b in range(a + 1, m):
-                    fa, fb = _basis(m, a), _basis(m, b)
-                    lhs = mats[i].matvec(br.bracket_basis(a, b))
-                    rhs = vadd(
-                        br.bracket(mats[i].matvec(fa), fb),
-                        br.bracket(fa, mats[i].matvec(fb)),
-                    )
-                    if lhs != rhs:
-                        return Verdict(
-                            False,
-                            Witness(law, (i + 1, a + 1, b + 1), vsub(lhs, rhs)),
-                        )
-    # 5: rho({x,y}) + mu([x,y])
-    #    = [rho x, mu y] + [mu x, rho y] - ad_h(w2(x,y)) - AD_h(w1(x,y))
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = ad_of_rep(rho, g.bracket2.bracket_basis(i, j), m) + ad_of_rep(
-                mu, g.bracket1.bracket_basis(i, j), m
-            )
-            rhs = (
-                rho[i].commutator(mu[j])
-                + mu[i].commutator(rho[j])
-                - ad_of_rep(ad_h, w2.value((i, j)), m)
-                - ad_of_rep(AD_h, w1.value((i, j)), m)
-            )
-            if not (lhs - rhs).is_zero():
-                return _matrix_witness("ext-5", (i + 1, j + 1), lhs - rhs)
-    # 6: rho(x){u,v} + mu(x)[u,v]
-    #    = {rho(x)u, v} + {u, rho(x)v} + [mu(x)u, v] + [u, mu(x)v]
-    for i in range(n):
-        for a in range(m):
-            for b in range(a + 1, m):
-                fa, fb = _basis(m, a), _basis(m, b)
-                lhs = vadd(
-                    rho[i].matvec(h.bracket2.bracket_basis(a, b)),
-                    mu[i].matvec(h.bracket1.bracket_basis(a, b)),
+    Equations 1-6 come first, in law order, each at its first failing
+    tuple.  The action laws (ext-1, ext-2, ext-5) fail at a base pair
+    (i, j) with the m x m matrix whose entry (b, a) is the Jacobiator at
+    (e_i, e_j, f_a) along f_b; the derivation laws (ext-3, ext-4, ext-6)
+    fail at (i, a, b) with minus the Jacobiator at (e_i, f_a, f_b).  The
+    cocycle laws come last: the first failing base triple, and on it ext-7
+    before ext-8 before ext-9, with minus the Jacobiator there.  Every
+    other block is a Jacobi identity of the base or the fibre pair, so an
+    entry there raises `InternalCheckError`.
+    """
+    n, m = datum.base_dim, datum.fibre_dim
+    laws, cocycle = {}, {}
+    for laws_of_jac, jac in zip(_BLOCK_LAWS, datum.jacobiators):
+        action_law, derivation_law, cocycle_law = laws_of_jac
+        for (subset, t), c in jac.coeffs.items():
+            in_base = sum(1 for i in subset if i < n)
+            if t < n or in_base == 0:
+                raise InternalCheckError(
+                    f"Jacobiator entry at {subset} -> {t} outside the datum blocks"
                 )
-                rhs = vadd(
-                    vadd(
-                        h.bracket2.bracket(rho[i].matvec(fa), fb),
-                        h.bracket2.bracket(fa, rho[i].matvec(fb)),
-                    ),
-                    vadd(
-                        h.bracket1.bracket(mu[i].matvec(fa), fb),
-                        h.bracket1.bracket(fa, mu[i].matvec(fb)),
-                    ),
+            if in_base == 2:
+                i, j, a = subset
+                value = laws.setdefault((action_law, (i, j)), [Fraction(0)] * m * m)
+                value[(t - n) * m + a - n] = c
+            elif in_base == 1:
+                i, a, b = subset
+                value = laws.setdefault(
+                    (derivation_law, (i, a - n, b - n)), [Fraction(0)] * m
                 )
-                if lhs != rhs:
-                    return Verdict(
-                        False,
-                        Witness("ext-6", (i + 1, a + 1, b + 1), vsub(lhs, rhs)),
-                    )
-    # 7, 8, 9: (w1, w2) is a 2-cocycle of the two-bracket complex of g with
-    # coefficients (rho, mu): D(w1, w2) = (d1 w1, d2 w1 + d1 w2, d2 w2) = 0.
-    # The first failing base triple is reported; on one triple ext-7 comes
-    # before ext-8 and ext-8 before ext-9 (the sort is stable).
-    d7, d9, d8 = staircase_coboundary(
-        g, CochainTuple(2, [w1, w2]), RepPair(m, rho, mu)
-    ).components
-    failing = [
-        (law, c) for law, c in (("ext-7", d7), ("ext-8", d8), ("ext-9", d9))
-        if not c.is_zero()
-    ]
-    failing.sort(key=lambda check: check[1].first_nonzero()[0])
-    return first_failure(failing)
-
-
-def ad_of_rep(mats, w: Vec, m: int) -> Matrix:
-    """sum_k w_k mats[k]: the action of a general algebra vector."""
-    out = Matrix.zeros(m, m)
-    for k, c in enumerate(w):
-        if c != 0:
-            out = out + mats[k].scale(c)
-    return out
+                value[t - n] = -c
+            else:
+                value = cocycle.setdefault((subset, cocycle_law), [Fraction(0)] * m)
+                value[t - n] = -c
+    if laws:
+        (law, at), value = min(laws.items())
+    elif cocycle:
+        (at, law), value = min(cocycle.items())
+    else:
+        return OK
+    return Verdict(False, Witness(law, tuple(i + 1 for i in at), tuple(value)))
 
 
 def assemble_brackets(datum: ExtensionDatum) -> tuple[LieBracket, LieBracket]:
@@ -253,13 +214,13 @@ def assemble_brackets(datum: ExtensionDatum) -> tuple[LieBracket, LieBracket]:
 
 
 def build_extension(datum: ExtensionDatum) -> CompatiblePair:
-    """The validated direct-sum pair; raises with the first failing
-    structure equation if the datum is invalid."""
+    """The direct-sum pair; raises with the first failing structure
+    equation if the datum is invalid.  The equations are the Jacobi
+    identities of the pair, so it is not validated a second time."""
     v = validate_extension_datum(datum)
     if not v:
         raise ValueError(f"invalid extension datum: {v.describe()}")
-    b1, b2 = assemble_brackets(datum)
-    return CompatiblePair(b1, b2)
+    return CompatiblePair.unchecked(*assemble_brackets(datum))
 
 
 # -- extraction from a short exact sequence -------------------------------------
@@ -418,9 +379,8 @@ def gauge_transform(datum: ExtensionDatum, xi: Matrix) -> ExtensionDatum:
         raise ValueError("xi must map the base to the fibre")
 
     def transform(act, w, g_br, h_br):
-        new_act = tuple(
-            act[i] + _ad_matrix(h_br, xi.column(i)) for i in range(n)
-        )
+        ad = h_br.ad_matrices()
+        new_act = tuple(act[i] + combination(ad, xi.column(i), m) for i in range(n))
         values = {}
         for i in range(n):
             for j in range(i + 1, n):
@@ -494,17 +454,9 @@ def _split_mc_element(p: Cochain, n: int, m: int):
 
 def maurer_cartan_verdict(datum: ExtensionDatum) -> Verdict:
     """The three Maurer-Cartan identities for (rho^ + w1^, mu^ + w2^) in
-    the twisted graded algebra of the product pair: an independent route to
-    the nine structure equations."""
-    a1, a2 = _anchors(datum)
-    p1, p2 = _mc_elements(datum)
-    half = Fraction(1, 2)
-    checks = [
-        ("mc-1", nr_bracket(a1, p1) + nr_bracket(p1, p1).scale(half)),
-        ("mc-2", nr_bracket(a2, p2) + nr_bracket(p2, p2).scale(half)),
-        ("mc-3", nr_bracket(a1, p2) + nr_bracket(a2, p1) + nr_bracket(p1, p2)),
-    ]
-    return first_failure(checks)
+    the twisted graded algebra of the product pair, which are the datum's
+    Jacobiators; the witness is on the direct sum's basis."""
+    return first_failure(zip(("mc-1", "mc-2", "mc-3"), datum.jacobiators))
 
 
 def gauge_transform_nr(datum: ExtensionDatum, xi: Matrix) -> ExtensionDatum:
@@ -594,8 +546,9 @@ def extensions_isomorphic_under(
         ("iso-1", datum.rho, other.rho, h.bracket1),
         ("iso-2", datum.mu, other.mu, h.bracket2),
     ):
+        ad = h_br.ad_matrices()
         for i in range(n):
-            diff = act2[i] - act[i] - _ad_matrix(h_br, xi.column(i))
+            diff = act2[i] - act[i] - combination(ad, xi.column(i), m)
             if not diff.is_zero():
                 return _matrix_witness(law, (i + 1,), diff)
     for law, act, w, w2, g_br, h_br in (

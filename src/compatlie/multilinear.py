@@ -318,6 +318,11 @@ def nr_bracket(p: Cochain, q: Cochain) -> Cochain:
     """[P,Q]_NR = P.Q - (-1)^{pq} Q.P with degrees p = arity(P)-1 etc."""
     pq = (p.arity - 1) * (q.arity - 1)
     left = nr_compose(p, q)
+    if p is q:
+        # Q.P is P.P again: [P, P] is 2 P.P in odd degree, zero in even
+        if pq % 2:
+            return left + left
+        return Cochain.zero(left.arity, left.source_dim, left.target_dim)
     right = nr_compose(q, p)
     return left - right if pq % 2 == 0 else left + right
 

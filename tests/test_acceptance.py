@@ -206,12 +206,14 @@ def test_criterion_07_nine_equation_equivalence():
 
 
 def test_criterion_08_maurer_cartan_cross_path():
-    from test_extension import rand_datum
+    from test_extension import lifted_maurer_cartan_verdict, rand_datum
 
     rng = Random(20240607)  # the same 50 data as criterion 7
     for _ in range(50):
         datum = rand_datum(rng)
-        assert maurer_cartan_verdict(datum).ok == validate_extension_datum(datum).ok
+        lifted = lifted_maurer_cartan_verdict(datum)
+        assert lifted.ok == validate_extension_datum(datum).ok
+        assert maurer_cartan_verdict(datum) == lifted
     rng2 = Random(20240608)
     for _ in range(3):
         g = rand_compatible_pair(rng2, 2)

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 from compatlie import cohomology, poisson
 from compatlie.cli import main
 from compatlie.core import InternalCheckError
+from compatlie.extension import ExtensionDatum
 from compatlie.document import parse
 
 DATA = Path(__file__).parent / "data"
@@ -334,6 +336,76 @@ def test_verdict_reports_match_recorded_digests(capsys, monkeypatch):
         code, out, _ = run(capsys, *argv, "--format", "json")
         assert code == expected_code, argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+# `extend` inputs that fail an action law (ext-1, ext-5) or a derivation
+# law (ext-3, ext-6), with the (exit code, sha256) of their JSON reports,
+# recorded before the nine equations were read off the Jacobiators
+N2_BASE = "[algebra]\ndim 2\n\n[pi1]\n1 2 2 1\n\n[pi2]\n\n"
+ABELIAN_BASE = "[algebra]\ndim 2\n\n[pi1]\n\n[pi2]\n\n"
+LINE_COCYCLES = "[cochain omega1]\ntarget 1\n\n[cochain omega2]\ntarget 1\n"
+N2_FIBRE = (
+    "[cochain omega1]\ntarget 2\n\n[cochain omega2]\ntarget 2\n\n"
+    "[cochain theta1]\ndim 2\ntarget 2\n1 2 2 1\n\n"
+    "[cochain theta2]\ndim 2\ntarget 2\n"
+)
+INVALID_EXTEND = {
+    "rho_not_action.alg": (
+        N2_BASE + "[rep]\ndim 1\nrho 1\nrow: 1\nrho 2\nrow: 1\n\n" + LINE_COCYCLES,
+        "abelian",
+        "acb386d91aa8ae7fef4b7989048190c137d3fd25ce779704afcce152adcfa343",
+    ),
+    "mixed_not_action.alg": (
+        N2_BASE + "[rep]\ndim 1\nmu 2\nrow: 1\n\n" + LINE_COCYCLES,
+        "abelian",
+        "eca9d2aa1e1469ad5e27653deaf835ec60ce63b4e9a83785e0465f689c46966d",
+    ),
+    "rho_not_derivation.alg": (
+        ABELIAN_BASE + "[rep]\ndim 2\nrho 1\nrow: 0 1\nrow: 0 0\n\n" + N2_FIBRE,
+        "nonabelian",
+        "bf9cf0e88a3bf377fa475358fdf636324acc463e601cca7513480199cb14e98e",
+    ),
+    "mu_not_derivation.alg": (
+        ABELIAN_BASE + "[rep]\ndim 2\nmu 1\nrow: 0 1\nrow: 0 0\n\n" + N2_FIBRE,
+        "nonabelian",
+        "5278f9abf01d475d0cfa8db0f94dd36604d19cbece50ba9c069ede35b71f64c3",
+    ),
+}
+
+
+def test_invalid_extend_reports_match_recorded_digests(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    laws = []
+    for name, (text, mode, digest) in INVALID_EXTEND.items():
+        (tmp_path / name).write_text(text)
+        code, out, _ = run(capsys, "extend", name, "--mode", mode, "--format", "json")
+        assert code == 1, name
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, name
+        laws.append(json.loads(out)["verdicts"][0]["witness"]["law"])
+    assert laws == ["ext-1", "ext-5", "ext-3", "ext-6"]
+
+
+def test_extend_builds_each_datums_jacobiators_once(capsys, monkeypatch):
+    # `extend --xi` checks the datum and its gauge transform, each through
+    # the nine equations and the first also through Maurer-Cartan
+    monkeypatch.chdir(DATA)
+    builds = []
+    compute = ExtensionDatum.jacobiators.func
+
+    def counted(datum):
+        builds.append(datum)
+        return compute(datum)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(ExtensionDatum, "jacobiators")
+    monkeypatch.setattr(ExtensionDatum, "jacobiators", prop)
+    xi_runs = [argv for argv in VERDICT_DIGESTS if "--xi" in argv]
+    assert len(xi_runs) == 2
+    for argv in xi_runs:
+        builds.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert len(builds) == 2 and builds[0] is not builds[1], argv
+        assert builds[0] != builds[1], argv  # the gauge moved the datum
 
 
 def test_each_table_builds_each_arm_once(capsys, monkeypatch):

@@ -10,13 +10,21 @@ from compatlie.core import (
     LieBracket,
     RepPair,
     adjoint_rep,
+    combination,
     pencil,
     validate_bracket,
     validate_pair,
     validate_rep,
 )
 from compatlie.linalg import Matrix, vec
-from support import n2, rand_compatible_pair, rand_invertible, sl2
+from support import (
+    n2,
+    rand_compatible_pair,
+    rand_fraction,
+    rand_invertible,
+    rand_matrix,
+    sl2,
+)
 
 
 def test_validate_bracket_abelian_and_sl2():
@@ -136,6 +144,25 @@ def test_rep_mixed_condition_isolated():
     assert not v.ok
     assert v.witness.law == "rep-mixed"
     assert v.witness.at == (1, 2)
+
+
+def test_combination_equals_term_by_term_sum():
+    # sum_k c_k mats[k] against the sum of scaled matrices, with zero
+    # coefficients, zero matrices and an empty list
+    rng = Random(5)
+    for _ in range(30):
+        dim, count = rng.randint(0, 3), rng.randint(0, 4)
+        mats = [
+            rand_matrix(rng, dim, dim) if rng.random() < 0.8 else Matrix.zeros(dim, dim)
+            for _ in range(count)
+        ]
+        coeffs = tuple(
+            rand_fraction(rng) if rng.random() < 0.7 else 0 for _ in range(count)
+        )
+        expected = Matrix.zeros(dim, dim)
+        for c, mat in zip(coeffs, mats):
+            expected = expected + mat.scale(c)
+        assert combination(mats, coeffs, dim) == expected
 
 
 def test_validate_pair_witness_is_lex_first():

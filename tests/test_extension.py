@@ -7,17 +7,21 @@ import pytest
 from compatlie.core import (
     OK,
     CompatiblePair,
+    InternalCheckError,
     LieBracket,
     RepPair,
     Verdict,
     Witness,
     adjoint_rep,
+    first_failure,
     validate_pair,
     validate_rep,
 )
 from compatlie.extension import (
     ExtensionDatum,
     Section,
+    _anchors,
+    _mc_elements,
     assemble_brackets,
     build_extension,
     cocycles_cohomologous,
@@ -216,11 +220,42 @@ def test_nine_equations_match_assembled_validation():
     assert seen_ok >= 5 and seen_bad >= 5
 
 
+def lifted_maurer_cartan_verdict(datum):
+    """The three Maurer-Cartan identities for (rho^ + w1^, mu^ + w2^),
+    twisted by the lifted anchors pi_i^ + theta_i^: the lifted route,
+    independent of the assembled brackets, kept as the reference for
+    `maurer_cartan_verdict`."""
+    a1, a2 = _anchors(datum)
+    p1, p2 = _mc_elements(datum)
+    half = Fraction(1, 2)
+    return first_failure(
+        [
+            ("mc-1", nr_bracket(a1, p1) + nr_bracket(p1, p1).scale(half)),
+            ("mc-2", nr_bracket(a2, p2) + nr_bracket(p2, p2).scale(half)),
+            ("mc-3", nr_bracket(a1, p2) + nr_bracket(a2, p1) + nr_bracket(p1, p2)),
+        ]
+    )
+
+
 def test_maurer_cartan_path_matches_nine_equations():
     rng = Random(103)
     for _ in range(60):
         datum = rand_datum(rng)
         assert maurer_cartan_verdict(datum).ok == validate_extension_datum(datum).ok
+
+
+def test_maurer_cartan_verdict_equals_lifted_route():
+    # the verdict reads the assembled pair's Jacobiators; the reference
+    # brackets the lifted elements with the lifted anchors
+    rng = Random(131)
+    laws = set()
+    data = [rand_datum(rng) for _ in range(60)] + action_and_derivation_data()
+    data += [broken_cocycle_datum(rng, nonabelian=t % 2 == 1) for t in range(6)]
+    for datum in data:
+        expected = lifted_maurer_cartan_verdict(datum)
+        assert maurer_cartan_verdict(datum) == expected
+        laws.add(expected.witness.law if expected.witness else "ok")
+    assert laws == {"ok", "mc-1", "mc-2", "mc-3"}
 
 
 def cocycle_sum(bracket, mats, w, triple):
@@ -342,6 +377,160 @@ def test_cocycle_witnesses_match_per_triple_formulas():
             # a law before the reported one fails, but only on a later triple
             earlier_law_later += any(f[0] < law for f in failures)
     assert failed >= 20 and shared_triple >= 5 and earlier_law_later >= 2
+
+
+def derivation_sum(br, mat, a, b, m):
+    """lhs - rhs of D[f_a, f_b] = [D f_a, f_b] + [f_a, D f_b]."""
+    fa, fb = (tuple(Fraction(k == c) for k in range(m)) for c in (a, b))
+    lhs = mat.matvec(br.bracket_basis(a, b))
+    rhs = vadd(br.bracket(mat.matvec(fa), fb), br.bracket(fa, mat.matvec(fb)))
+    return vsub(lhs, rhs)
+
+
+def action_of(mats, w, m):
+    """sum_k w_k mats[k], one term at a time."""
+    out = Matrix.zeros(m, m)
+    for k, c in enumerate(w):
+        if c != 0:
+            out = out + mats[k].scale(c)
+    return out
+
+
+def per_equation_verdict(datum):
+    """The nine structure equations from their hand-expanded formulas:
+    equations 1-6 in order, each on its basis tuples in lexicographic
+    order, then the per-triple cocycle sums of equations 7-9.  The
+    reference for `validate_extension_datum`, which reads the blocks of
+    the assembled pair's Jacobiators."""
+    g, h = datum.base, datum.fibre
+    n, m = g.dim, h.dim
+    rho, mu = datum.rho, datum.mu
+    w1, w2 = datum.omega1, datum.omega2
+    ad_h = h.bracket1.ad_matrices()
+    AD_h = h.bracket2.ad_matrices()
+
+    def matrix_failure(law, i, j, diff):
+        flat = tuple(x for r in range(diff.rows) for x in diff.row(r))
+        return Verdict(False, Witness(law, (i + 1, j + 1), flat))
+
+    pairs = list(combinations(range(n), 2))
+    # 1: rho([x,y]) = [rho x, rho y] - ad_h(w1(x,y)); 2: the same for mu
+    for law, act, g_br, adj, w in (
+        ("ext-1", rho, g.bracket1, ad_h, w1),
+        ("ext-2", mu, g.bracket2, AD_h, w2),
+    ):
+        for i, j in pairs:
+            lhs = action_of(act, g_br.bracket_basis(i, j), m)
+            rhs = act[i].commutator(act[j]) - action_of(adj, w.value((i, j)), m)
+            if not (lhs - rhs).is_zero():
+                return matrix_failure(law, i, j, lhs - rhs)
+    # 3 and 4: the actions are derivations of the fibre brackets
+    for law, act, br in (("ext-3", rho, h.bracket1), ("ext-4", mu, h.bracket2)):
+        for i in range(n):
+            for a, b in combinations(range(m), 2):
+                diff = derivation_sum(br, act[i], a, b, m)
+                if not is_zero_vec(diff):
+                    return Verdict(False, Witness(law, (i + 1, a + 1, b + 1), diff))
+    # 5: rho({x,y}) + mu([x,y])
+    #    = [rho x, mu y] + [mu x, rho y] - ad_h(w2(x,y)) - AD_h(w1(x,y))
+    for i, j in pairs:
+        lhs = action_of(rho, g.bracket2.bracket_basis(i, j), m) + action_of(
+            mu, g.bracket1.bracket_basis(i, j), m
+        )
+        rhs = (
+            rho[i].commutator(mu[j])
+            + mu[i].commutator(rho[j])
+            - action_of(ad_h, w2.value((i, j)), m)
+            - action_of(AD_h, w1.value((i, j)), m)
+        )
+        if not (lhs - rhs).is_zero():
+            return matrix_failure("ext-5", i, j, lhs - rhs)
+    # 6: rho(x){u,v} + mu(x)[u,v]
+    #    = {rho(x)u, v} + {u, rho(x)v} + [mu(x)u, v] + [u, mu(x)v]
+    for i in range(n):
+        for a, b in combinations(range(m), 2):
+            diff = vadd(
+                derivation_sum(h.bracket2, rho[i], a, b, m),
+                derivation_sum(h.bracket1, mu[i], a, b, m),
+            )
+            if not is_zero_vec(diff):
+                return Verdict(False, Witness("ext-6", (i + 1, a + 1, b + 1), diff))
+    failures = per_triple_cocycle_failures(datum)
+    return Verdict(False, Witness(*failures[0])) if failures else OK
+
+
+def fibre_n2_datum(rho_d, mu_d):
+    """Abelian 2-dim base acting on the fibre (N2, 0) by rho(e1) = rho_d,
+    mu(e1) = mu_d and zero on e2."""
+    z = Matrix.zeros(2, 2)
+    return ExtensionDatum(
+        abelian(2),
+        CompatiblePair(n2(), LieBracket.zero(2)),
+        (rho_d, z),
+        (mu_d, z),
+        Cochain.zero(2, 2, 2),
+        Cochain.zero(2, 2, 2),
+    )
+
+
+def action_and_derivation_data():
+    """Data failing ext-1, ext-5 (weights of a line that do not vanish on
+    [e1, e2] of N2) and ext-3, ext-6 (a nilpotent map that is no
+    derivation of N2), as in the CLI's invalid `extend` texts."""
+    g = CompatiblePair(n2(), LieBracket.zero(2))
+    z1 = Cochain.zero(2, 2, 1)
+    one, zero = Matrix([[1]]), Matrix.zeros(1, 1)
+    nil = Matrix([[0, 1], [0, 0]])
+    z2 = Matrix.zeros(2, 2)
+    return [
+        ExtensionDatum(g, abelian(1), (one, one), (zero, zero), z1, z1),
+        ExtensionDatum(g, abelian(1), (zero, zero), (zero, one), z1, z1),
+        fibre_n2_datum(nil, z2),
+        fibre_n2_datum(z2, nil),
+    ]
+
+
+def test_nine_equations_match_per_equation_formulas():
+    # the Jacobiator blocks must give the witness (law, tuple, value) of
+    # the hand-expanded equations, for every one of the nine laws
+    rng = Random(223)
+    data = [rand_datum(rng) for _ in range(150)] + action_and_derivation_data()
+    data += fixed_cocycle_data()
+    data += [broken_cocycle_datum(rng, nonabelian=t % 2 == 1) for t in range(20)]
+    laws = set()
+    for datum in data:
+        expected = per_equation_verdict(datum)
+        assert validate_extension_datum(datum) == expected
+        if expected.witness:
+            laws.add(expected.witness.law)
+    assert laws == {f"ext-{k}" for k in range(1, 10)}
+
+
+def test_build_extension_skips_the_second_validation():
+    rng = Random(227)
+    seen = set()
+    for datum in [rand_datum(rng) for _ in range(40)] + action_and_derivation_data():
+        expected = per_equation_verdict(datum)
+        if expected:
+            assert build_extension(datum) == CompatiblePair(*assemble_brackets(datum))
+        else:
+            with pytest.raises(ValueError) as err:
+                build_extension(datum)
+            assert str(err.value) == f"invalid extension datum: {expected.describe()}"
+        seen.add(expected.ok)
+    assert seen == {True, False}
+
+
+def test_jacobi_failure_of_base_or_fibre_is_internal():
+    # an unchecked base or fibre whose bracket fails Jacobi puts entries
+    # outside the nine blocks: [e1,e2] = e2, [e2,e3] = e1
+    bad = LieBracket(3, {(0, 1, 1): 1, (1, 2, 0): 1})
+    assert not validate_pair(bad, LieBracket.zero(3)).ok
+    unchecked = CompatiblePair.unchecked(bad, LieBracket.zero(3))
+    for g, h in ((unchecked, abelian(1)), (abelian(1), unchecked)):
+        datum = product_datum(g, h)
+        with pytest.raises(InternalCheckError):
+            validate_extension_datum(datum)
 
 
 def test_twisted_differentials_anticommute():

@@ -101,6 +101,26 @@ def test_graded_antisymmetry_random():
         assert lhs == rhs
 
 
+def test_self_bracket_equals_two_composition_formula():
+    # nr_bracket(p, p) composes once; the reference composes twice and
+    # combines P.P - (-1)^{pp} P.P
+    rng = Random(17)
+    seen = set()
+    for arity in range(4):
+        for _ in range(6):
+            dim = rng.randint(1, 3)
+            p = rand_cochain(rng, arity, dim)
+            pp = (arity - 1) * (arity - 1)
+            left, right = nr_compose(p, p), nr_compose(p, p)
+            expected = left - right if pp % 2 == 0 else left + right
+            got = nr_bracket(p, p)
+            assert got == expected
+            assert got == nr_bracket(p, Cochain(arity, dim, dim, p.coeffs))
+            seen.add((pp % 2, got.is_zero()))
+    # even degree gives zero; odd degree gives nonzero results too
+    assert seen >= {(0, True), (1, False)}
+
+
 def test_graded_jacobi_random():
     rng = Random(13)
     for _ in range(40):
