@@ -60,7 +60,6 @@ from .multilinear import (
     lift_rep,
     nr_bracket,
     nr_compose,
-    unshuffles,
 )
 from .poisson import PolyBasis, lie_poisson_rep, reduced_bihamiltonian_dims
 
@@ -116,7 +115,6 @@ __all__ = [
     "render",
     "staircase_coboundary",
     "trivial_deformation_from_nijenhuis",
-    "unshuffles",
     "validate_bracket",
     "validate_extension_datum",
     "validate_pair",

@@ -54,7 +54,8 @@ class ParseError(Exception):
         self.message = message
 
 
-_RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
+_INTEGER = re.compile(r"^[0-9]+$")
 _NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _HEADER = re.compile(r"^\[([a-z0-9]+)(?:\s+(\S+))?\]$")
 
@@ -65,6 +66,13 @@ def _rational(tok: str, line: int) -> Fraction:
     if "/" in tok and int(tok.split("/")[1]) == 0:
         raise ParseError(line, f"zero denominator in {tok!r}")
     return Fraction(tok)
+
+
+def _integer(tok: str, line: int, message: str, least: int = 0) -> int:
+    """ASCII digits only: str.isdigit passes superscripts that int() rejects."""
+    if not _INTEGER.match(tok) or int(tok) < least:
+        raise ParseError(line, message)
+    return int(tok)
 
 
 @dataclass(frozen=True)
@@ -150,6 +158,7 @@ def parse(text: str) -> AlgebraDocument:
     rep_mats: dict[tuple[str, int], list] = {}
     rep_mat_lines: dict[tuple[str, int], int] = {}
     ops: dict[str, list] = {}
+    op_lines: dict[str, int] = {}
     cochain_raw: dict[str, dict] = {}
     seen_sections: set[str] = set()
 
@@ -181,6 +190,7 @@ def parse(text: str) -> AlgebraDocument:
                     raise ParseError(ln, f"duplicate section [{kind} {name}]")
                 if kind == "op":
                     ops[name] = []
+                    op_lines[name] = ln
                     current_matrix = ("op", name)
                 else:
                     cochain_raw[name] = {
@@ -204,18 +214,15 @@ def parse(text: str) -> AlgebraDocument:
             if toks[0] == "dim" and len(toks) == 2:
                 if dim is not None:
                     raise ParseError(ln, "dim given twice")
-                if not toks[1].isdigit() or int(toks[1]) < 1:
-                    raise ParseError(ln, "dim must be a positive integer")
-                dim = int(toks[1])
+                dim = _integer(toks[1], ln, "dim must be a positive integer", 1)
                 dim_line = ln
             else:
                 raise ParseError(ln, f"unexpected line in [algebra]: {line!r}")
         elif kind in ("pi1", "pi2"):
             if len(toks) != 4:
                 raise ParseError(ln, "bracket entries are 'i j k coeff'")
-            if not all(t.isdigit() for t in toks[:3]):
-                raise ParseError(ln, "bracket indices must be positive integers")
-            i, j, k = (int(t) for t in toks[:3])
+            msg = "bracket indices must be positive integers"
+            i, j, k = (_integer(t, ln, msg) for t in toks[:3])
             c = _rational(toks[3], ln)
             if (i, j, k) in pi[kind]:
                 raise ParseError(ln, f"duplicate entry for ({i}, {j}, {k})")
@@ -225,15 +232,12 @@ def parse(text: str) -> AlgebraDocument:
             if toks[0] == "dim" and len(toks) == 2:
                 if rep_dim is not None:
                     raise ParseError(ln, "module dim given twice")
-                if not toks[1].isdigit() or int(toks[1]) < 1:
-                    raise ParseError(ln, "module dim must be a positive integer")
-                rep_dim = int(toks[1])
+                rep_dim = _integer(toks[1], ln, "module dim must be a positive integer", 1)
             elif toks[0] in ("rho", "mu") and len(toks) == 2:
                 if rep_dim is None:
                     raise ParseError(ln, "module dim must come first in [rep]")
-                if not toks[1].isdigit():
-                    raise ParseError(ln, f"{toks[0]} needs an algebra index")
-                key = (toks[0], int(toks[1]))
+                idx = _integer(toks[1], ln, f"{toks[0]} needs an algebra index")
+                key = (toks[0], idx)
                 if key in rep_mats:
                     raise ParseError(ln, f"duplicate matrix {toks[0]} {toks[1]}")
                 rep_mats[key] = []
@@ -258,13 +262,13 @@ def parse(text: str) -> AlgebraDocument:
                     raise ParseError(ln, f"{toks[0]} must precede the entries")
                 if block[toks[0]] is not None:
                     raise ParseError(ln, f"{toks[0]} given twice")
-                if not toks[1].isdigit() or int(toks[1]) < 1:
-                    raise ParseError(ln, f"{toks[0]} must be a positive integer")
-                block[toks[0]] = int(toks[1])
+                msg = f"{toks[0]} must be a positive integer"
+                block[toks[0]] = _integer(toks[1], ln, msg, 1)
             else:
-                if len(toks) != 4 or not all(t.isdigit() for t in toks[:3]):
-                    raise ParseError(ln, "cochain entries are 'i j k coeff'")
-                i, j, k = (int(t) for t in toks[:3])
+                msg = "cochain entries are 'i j k coeff'"
+                if len(toks) != 4:
+                    raise ParseError(ln, msg)
+                i, j, k = (_integer(t, ln, msg) for t in toks[:3])
                 c = _rational(toks[3], ln)
                 if (i, j, k) in block["entries"]:
                     raise ParseError(ln, f"duplicate entry for ({i}, {j}, {k})")
@@ -309,9 +313,9 @@ def parse(text: str) -> AlgebraDocument:
     for name in sorted(ops):
         rows = ops[name]
         if not rows:
-            raise ParseError(1, f"operator block {name!r} has no rows")
+            raise ParseError(op_lines[name], f"operator block {name!r} has no rows")
         if any(len(r) != len(rows[0]) for r in rows):
-            raise ParseError(1, f"operator block {name!r} has ragged rows")
+            raise ParseError(op_lines[name], f"operator block {name!r} has ragged rows")
         op_items.append((name, tuple(rows)))
 
     cochain_items = []

@@ -154,7 +154,9 @@ class Matrix:
     def matvec(self, v: Vec) -> Vec:
         if len(v) != self.cols:
             raise ValueError(f"shape mismatch {self.shape()} @ vector of length {len(v)}")
-        return tuple(sum(x * y for x, y in zip(r, v)) for r in self._a)
+        nz = [(j, y) for j, y in enumerate(v) if y]
+        zero = Fraction(0)
+        return tuple(sum((r[j] * y for j, y in nz if r[j]), zero) for r in self._a)
 
     def transpose(self) -> "Matrix":
         a = tuple(

@@ -4,13 +4,15 @@ A cochain of arity p on a source space of dimension n with values in a target
 space of dimension m is an alternating p-linear map, stored sparsely by its
 values on increasing basis subsets.  Evaluation on arbitrary index lists uses
 the alternating extension (permutation sign, zero on repeats); evaluation on
-vectors extends multilinearly.
+vectors extends multilinearly over the arguments' nonzero coordinates.
 
 The graded Lie structure: a cochain of arity p+1 has degree p, and
 
     [P, Q]_NR = P . Q - (-1)^{pq} Q . P,
-    (P . Q)(x_1..x_{p+q+1}) = sum over (q+1, p)-unshuffles s of
+    (P . Q)(x_1..x_{p+q+1}) = sum, over every (q+1, p)-unshuffle s, of
         sign(s) P(Q(x_{s(1)}..x_{s(q+1)}), x_{s(q+2)}..x_{s(p+q+1)}).
+
+`nr_compose` evaluates this sum as a scatter over the stored nonzeros.
 
 These operations are implemented for endomorphism-valued cochains only;
 module-valued cochains enter the bracket through lifts to the direct sum
@@ -22,8 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import comb, factorial
+from itertools import combinations, product
+from math import comb, factorial, prod
 
 from .linalg import Matrix, Vec, frac, is_zero_vec, vadd, vscale, vzero
 
@@ -46,37 +48,6 @@ def sort_with_sign(indices) -> tuple[Subset, int] | None:
         if a == b:
             return None
     return tuple(idx), sign
-
-
-def perm_sign(word) -> int:
-    """Sign of a permutation given as a sequence of distinct values."""
-    inv = sum(
-        1
-        for i in range(len(word))
-        for j in range(i + 1, len(word))
-        if word[i] > word[j]
-    )
-    return -1 if inv % 2 else 1
-
-
-def unshuffles(i: int, n: int) -> list[tuple[Subset, int]]:
-    """All (i, n-i)-unshuffles of {0..n-1} with their signs.
-
-    A permutation s is an (i, n-i)-unshuffle when s(1) < .. < s(i) and
-    s(i+1) < .. < s(n); it is determined by the first block, so the list is
-    generated by choosing the block (length C(n, i)), never by filtering all
-    n! permutations.  Each entry is (s(1)..s(n)) as a tuple with its sign.
-    For i = 0 or i = n only the identity occurs.
-    """
-    if not 0 <= i <= n:
-        raise ValueError(f"need 0 <= i <= n, got ({i}, {n})")
-    out = []
-    for first in combinations(range(n), i):
-        chosen = set(first)
-        rest = tuple(k for k in range(n) if k not in chosen)
-        word = first + rest
-        out.append((word, perm_sign(word)))
-    return out
 
 
 class Cochain:
@@ -223,14 +194,21 @@ class Cochain:
         """Full multilinear alternating evaluation on source-space vectors."""
         if len(vectors) != self.arity:
             raise ValueError("wrong number of arguments")
-        out = vzero(self.target_dim)
-        for subset, sign in _expand(vectors):
-            c = Fraction(sign)
-            for v, i in zip(vectors, subset):
-                c *= v[i]
-            if c != 0:
-                out = vadd(out, vscale(c, self.eval_indices(subset)))
-        return out
+        # sparse accumulation: `eval_indices` would build, scale and add a
+        # dense target vector per term
+        out = [Fraction(0)] * self.target_dim
+        nonzero = [[(i, x) for i, x in enumerate(v) if x] for v in vectors]
+        for term in product(*nonzero):
+            ss = sort_with_sign(i for i, _ in term)
+            if ss is None:
+                continue
+            subset, sign = ss
+            c = prod((x for _, x in term), start=Fraction(sign))
+            for k in range(self.target_dim):
+                d = self.coeffs.get((subset, k))
+                if d is not None:
+                    out[k] += c * d
+        return tuple(out)
 
     # -- flattening ----------------------------------------------------------
 
@@ -263,32 +241,14 @@ class Cochain:
         return None
 
 
-def _expand(vectors):
-    """Index tuples (with multiplicity over all coordinates) for full
-    multilinear evaluation; sign handling is delegated to eval_indices."""
-    if not vectors:
-        yield (), 1
-        return
-    dims = [len(v) for v in vectors]
-    idx = [0] * len(vectors)
-    while True:
-        yield tuple(idx), 1
-        j = len(idx) - 1
-        while j >= 0:
-            idx[j] += 1
-            if idx[j] < dims[j]:
-                break
-            idx[j] = 0
-            j -= 1
-        if j < 0:
-            return
-
-
 # -- Nijenhuis-Richardson bracket ----------------------------------------------
 
 
 def nr_compose(p: Cochain, q: Cochain) -> Cochain:
-    """P . Q per the unshuffle sum; endomorphism-valued cochains only."""
+    """P . Q as a scatter over the stored nonzeros; endomorphism-valued
+    cochains only.  Each entry (J, t, d) of P is filed under every slot k of
+    J as (O, t, (-1)^pos_J(k) d), O = J minus k; each entry (I, k, c) of Q
+    meets those filed under k, signed by sorting I u O (overlaps vanish)."""
     for f in (p, q):
         if f.source_dim != f.target_dim:
             raise ValueError("nr_compose needs endomorphism-valued cochains")
@@ -298,20 +258,22 @@ def nr_compose(p: Cochain, q: Cochain) -> Cochain:
     if p.arity == 0:
         # no slot to plug Q into; the composition is identically zero
         return Cochain.zero(max(q.arity - 1, 0), n, n)
-    r = p.arity + q.arity - 1
-    sh = unshuffles(q.arity, r)
-    values = {}
-    for subset in combinations(range(n), r):
-        total = vzero(n)
-        for word, sign in sh:
-            inner = tuple(subset[word[t]] for t in range(q.arity))
-            outer = tuple(subset[word[t]] for t in range(q.arity, r))
-            w = q.value(inner)  # inner is increasing: direct lookup
-            if is_zero_vec(w):
+    filed: dict[int, list] = {}
+    for (subset, t), d in p.coeffs.items():
+        for pos, k in enumerate(subset):
+            rest = subset[:pos] + subset[pos + 1 :]
+            filed.setdefault(k, []).append((rest, t, -d if pos % 2 else d))
+    table: dict[tuple[Subset, int], Fraction] = {}
+    for (inner, k), c in q.coeffs.items():
+        for outer, t, d in filed.get(k, ()):
+            ss = sort_with_sign(inner + outer)
+            if ss is None:
                 continue
-            total = vadd(total, vscale(sign, p.eval_vector_first(w, outer)))
-        values[subset] = total
-    return Cochain.from_values(r, n, n, values)
+            subset, sign = ss
+            prev = table.get((subset, t), Fraction(0))
+            table[(subset, t)] = prev + c * d if sign == 1 else prev - c * d
+    # lexicographic storage order, as every other constructor gives
+    return Cochain(p.arity + q.arity - 1, n, n, dict(sorted(table.items())))
 
 
 def nr_bracket(p: Cochain, q: Cochain) -> Cochain:

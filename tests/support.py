@@ -95,14 +95,16 @@ def rand_invertible(rng: Random, n: int) -> Matrix:
             return m
 
 
-def rand_cochain(rng: Random, arity: int, dim: int, target_dim=None) -> Cochain:
+def rand_cochain(
+    rng: Random, arity: int, dim: int, target_dim=None, density=0.6
+) -> Cochain:
     from itertools import combinations
 
     td = dim if target_dim is None else target_dim
     coeffs = {}
     for subset in combinations(range(dim), arity):
         for k in range(td):
-            if rng.random() < 0.6:
+            if rng.random() < density:
                 coeffs[(subset, k)] = rand_fraction(rng, -2, 2)
     return Cochain(arity, dim, td, coeffs)
 

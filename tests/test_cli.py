@@ -460,3 +460,12 @@ def test_internal_check_error_has_its_own_exit_code(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal error: degree 1: image outside the kernel\n"
+
+
+def test_non_ascii_digit_is_a_usage_error(capsys, tmp_path):
+    bad = tmp_path / "bad.alg"
+    bad.write_text("[algebra]\ndim 2\n[pi1]\n1 ² 1 1\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", bad)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 4")

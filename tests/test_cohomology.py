@@ -23,7 +23,7 @@ from compatlie.core import CompatiblePair, LieBracket, RepPair, adjoint_rep
 from compatlie.linalg import Matrix, SubspaceBasis, rank_bareiss, vec
 from compatlie.multilinear import Cochain, ce_adjoint, ce_coboundary
 from compatlie.poisson import degree_block, lie_poisson_rep
-from support import n2, rand_compatible_pair, rand_rep, sl2
+from support import n2, rand_compatible_pair, rand_invertible, rand_rep, sl2
 
 
 def tuple_space_dim(degree, dim, module_dim):
@@ -479,3 +479,56 @@ def test_non_representation_raises_under_python_O():
             "reduced raised",
             "slice raised",
         ]
+
+
+# -- metamorphic checks on random pairs --------------------------------------
+
+# (dimension, pairs): complete adjoint tables at dim 4 take about 0.3 s each
+METAMORPHIC_DIMS = ((2, 4), (3, 4), (4, 2))
+
+
+def h_table(pair, rep=None):
+    return [(space, h) for space, h, _ in cohomology_dims(pair, rep, pair.dim)]
+
+
+def test_dims_invariant_under_conjugation():
+    # a change of basis g in GL(n, Q) is an isomorphism of compatible pairs
+    # and of their adjoint complexes
+    rng = Random(71)
+    moved_any = False
+    for dim, count in METAMORPHIC_DIMS:
+        for _ in range(count):
+            pair = rand_compatible_pair(rng, dim)
+            moved = pair.conjugate(rand_invertible(rng, dim))
+            moved_any |= moved != pair
+            assert h_table(moved) == h_table(pair)
+            assert reduced_cohomology_dims(moved, None, dim) == (
+                reduced_cohomology_dims(pair, None, dim)
+            )
+    assert moved_any
+
+
+def test_staircase_dims_invariant_under_swapping_the_brackets():
+    # swapping pi1 and pi2 reverses the components of every cochain tuple,
+    # which carries one staircase onto the other
+    rng = Random(73)
+    for dim, count in METAMORPHIC_DIMS:
+        for _ in range(count):
+            pair = rand_compatible_pair(rng, dim)
+            swapped = CompatiblePair(pair.bracket2, pair.bracket1)
+            assert h_table(swapped) == h_table(pair)
+
+
+def test_euler_characteristic_of_complete_tables():
+    # max_degree = dim reaches the last nonzero space, so the alternating
+    # sums of space and cohomology dimensions agree
+    rng = Random(79)
+    for dim, count in METAMORPHIC_DIMS:
+        for _ in range(count):
+            pair = rand_compatible_pair(rng, dim)
+            for rep in (None, rand_rep(rng, pair)):
+                table = h_table(pair, rep)
+                assert len(table) == dim + 1
+                spaces = sum((-1) ** n * space for n, (space, _) in enumerate(table))
+                hs = sum((-1) ** n * h for n, (_, h) in enumerate(table))
+                assert spaces == hs

@@ -1,4 +1,5 @@
 import ast
+import sys
 from pathlib import Path
 from random import Random
 
@@ -191,4 +192,26 @@ def test_library_has_no_assert_statements():
         for node in ast.walk(ast.parse(f.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_library_imports_only_the_standard_library():
+    # the package is stdlib-only: every import is relative or names a
+    # standard-library module
+    files = sorted(Path(compatlie.__file__).parent.glob("*.py"))
+    assert files
+    found = []
+    for f in files:
+        for node in ast.walk(ast.parse(f.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{f.name}:{node.lineno}:{name}"
+                for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names
+            ]
     assert found == []

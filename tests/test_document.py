@@ -108,3 +108,48 @@ def test_roundtrip_with_all_blocks():
     assert parse(render(doc)) == doc
     block = dict(doc.cochains)["omega1"]
     assert block == CochainBlock(2, 1, ((1, 2, 1, Fraction(1)),))
+
+
+# Superscript digits pass str.isdigit() but not int(); every integer field
+# reports them as a ParseError on their own line.
+NON_ASCII_INTEGERS = [
+    ("algebra dim", "[algebra]\ndim ²\n", 2, "dim must be"),
+    ("bracket index", "[algebra]\ndim 2\n[pi1]\n1 ² 1 1\n", 4, "bracket indices"),
+    ("rep dim", "[algebra]\ndim 2\n[rep]\ndim ²\n", 4, "module dim"),
+    ("rho index", "[algebra]\ndim 2\n[rep]\ndim 1\nrho ¹\n", 5, "rho needs"),
+    ("mu index", "[algebra]\ndim 2\n[rep]\ndim 1\nmu ¹\n", 5, "mu needs"),
+    ("cochain dim", "[algebra]\ndim 2\n[cochain w]\ndim ²\n", 4, "dim must be"),
+    ("cochain target", "[algebra]\ndim 2\n[cochain w]\ntarget ¹\n", 4, "target must"),
+    ("cochain index", "[algebra]\ndim 2\n[cochain w]\n1 ² 1 1\n", 4, "cochain entries"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [case[1:] for case in NON_ASCII_INTEGERS],
+    ids=[case[0] for case in NON_ASCII_INTEGERS],
+)
+def test_non_ascii_integers_are_parse_errors(text, line, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.line == line
+    assert message in err.value.message
+
+
+def test_non_ascii_digits_in_rationals_are_parse_errors():
+    for coeff in ("²", "1/²", "١", "１"):
+        with pytest.raises(ParseError) as err:
+            parse(f"[algebra]\ndim 2\n[pi1]\n1 2 1 {coeff}\n")
+        assert err.value.line == 4
+        assert "malformed rational" in err.value.message
+
+
+def test_operator_block_errors_report_the_header_line():
+    with pytest.raises(ParseError) as err:
+        parse("[algebra]\ndim 2\n\n[op N]\n[op M]\nrow: 1 0\n")
+    assert err.value.line == 4
+    assert "has no rows" in err.value.message
+    with pytest.raises(ParseError) as err:
+        parse("[algebra]\ndim 2\n[op N]\nrow: 1 0\nrow: 1\n")
+    assert err.value.line == 3
+    assert "ragged rows" in err.value.message

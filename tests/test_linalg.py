@@ -172,36 +172,36 @@ def dense_product(a, b):
     ]
 
 
+def rand_sparse(rng, rows, cols):
+    density = rng.choice((0.0, 0.15, 0.5, 1.0))
+    m = [
+        [
+            Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            if rng.random() < density
+            else 0
+            for _ in range(cols)
+        ]
+        for _ in range(rows)
+    ]
+    # whole zero rows and columns
+    if rows and rng.random() < 0.5:
+        m[rng.randrange(rows)] = [0] * cols
+    if cols and rng.random() < 0.5:
+        j = rng.randrange(cols)
+        for r in m:
+            r[j] = 0
+    return Matrix(m) if rows else Matrix.zeros(0, cols)
+
+
 def test_mul_equals_dense_sum_formula():
     rng = Random(43)
-
-    def rand_sparse(rows, cols):
-        density = rng.choice((0.0, 0.15, 0.5, 1.0))
-        m = [
-            [
-                Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                if rng.random() < density
-                else 0
-                for _ in range(cols)
-            ]
-            for _ in range(rows)
-        ]
-        # whole zero rows and columns
-        if rows and rng.random() < 0.5:
-            m[rng.randrange(rows)] = [0] * cols
-        if cols and rng.random() < 0.5:
-            j = rng.randrange(cols)
-            for r in m:
-                r[j] = 0
-        return Matrix(m) if rows else Matrix.zeros(0, cols)
-
     shapes = [(0, k, m) for k in (0, 1, 3) for m in (0, 2)]
     shapes += [(k, 0, m) for k in (1, 3) for m in (0, 2)]
     shapes += [
         (rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)) for _ in range(80)
     ]
     for rows, inner, cols in shapes:
-        a, b = rand_sparse(rows, inner), rand_sparse(inner, cols)
+        a, b = rand_sparse(rng, rows, inner), rand_sparse(rng, inner, cols)
         prod = a * b
         assert prod.shape() == (rows, cols)
         expected = dense_product(a, b)
@@ -209,3 +209,20 @@ def test_mul_equals_dense_sum_formula():
         assert all(type(prod[i, j]) is Fraction for i in range(rows) for j in range(cols))
     with pytest.raises(ValueError):
         Matrix.zeros(2, 3) * Matrix.zeros(2, 3)
+
+
+def test_matvec_equals_dense_sum_formula():
+    rng = Random(61)
+    shapes = [(k, 0) for k in (0, 1, 3)] + [(0, k) for k in (1, 3)]
+    shapes += [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(80)]
+    for rows, cols in shapes:
+        m = rand_sparse(rng, rows, cols)
+        v = rand_sparse(rng, 1, cols).row(0) if cols else ()
+        got = m.matvec(v)
+        assert list(got) == [sum(x * y for x, y in zip(m.row(i), v)) for i in range(rows)]
+        # a Fraction everywhere, also where a row is empty (k x 0)
+        assert all(type(x) is Fraction for x in got)
+    # integer vectors are accepted and give Fractions
+    assert Matrix([[1, 2], [0, 3]]).matvec([1, 1]) == (Fraction(3), Fraction(3))
+    with pytest.raises(ValueError):
+        Matrix.zeros(2, 3).matvec(vec([1, 2]))

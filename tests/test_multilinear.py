@@ -1,9 +1,9 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations, product
 from random import Random
 
 from compatlie.core import LieBracket, adjoint_rep, CompatiblePair
-from compatlie.linalg import Matrix, vec
+from compatlie.linalg import Matrix, is_zero_vec, vadd, vec, vscale, vzero
 from compatlie.multilinear import (
     Bidegree,
     BiMap,
@@ -20,10 +20,76 @@ from compatlie.multilinear import (
     module_component,
     nr_bracket,
     nr_compose,
-    perm_sign,
-    unshuffles,
 )
 from support import n2, rand_cochain, rand_compatible_pair, rand_rep, sl2
+
+
+# -- reference route: the unshuffle sum --------------------------------------
+
+
+def perm_sign(word) -> int:
+    """Sign of a permutation given as a sequence of distinct values."""
+    inv = sum(
+        1
+        for i in range(len(word))
+        for j in range(i + 1, len(word))
+        if word[i] > word[j]
+    )
+    return -1 if inv % 2 else 1
+
+
+def unshuffles(i: int, n: int) -> list:
+    """All (i, n-i)-unshuffles of {0..n-1} with their signs.
+
+    A permutation s is an (i, n-i)-unshuffle when s(1) < .. < s(i) and
+    s(i+1) < .. < s(n); it is determined by the first block, so the list is
+    generated by choosing the block (length C(n, i)), never by filtering all
+    n! permutations.  Each entry is (s(1)..s(n)) as a tuple with its sign.
+    For i = 0 or i = n only the identity occurs.
+    """
+    if not 0 <= i <= n:
+        raise ValueError(f"need 0 <= i <= n, got ({i}, {n})")
+    out = []
+    for first in combinations(range(n), i):
+        chosen = set(first)
+        rest = tuple(k for k in range(n) if k not in chosen)
+        word = first + rest
+        out.append((word, perm_sign(word)))
+    return out
+
+
+def nr_compose_unshuffle_sum(p: Cochain, q: Cochain) -> Cochain:
+    """P . Q by the defining sum over every subset and every unshuffle,
+    with dense target vectors: the reference for the scatter."""
+    n = p.source_dim
+    if p.arity == 0:
+        return Cochain.zero(max(q.arity - 1, 0), n, n)
+    r = p.arity + q.arity - 1
+    sh = unshuffles(q.arity, r)
+    values = {}
+    for subset in combinations(range(n), r):
+        total = vzero(n)
+        for word, sign in sh:
+            inner = tuple(subset[word[t]] for t in range(q.arity))
+            outer = tuple(subset[word[t]] for t in range(q.arity, r))
+            w = q.value(inner)  # inner is increasing: direct lookup
+            if is_zero_vec(w):
+                continue
+            total = vadd(total, vscale(sign, p.eval_vector_first(w, outer)))
+        values[subset] = total
+    return Cochain.from_values(r, n, n, values)
+
+
+def eval_vectors_index_expansion(f: Cochain, vectors) -> tuple:
+    """f on vectors by the sum over every index tuple: the reference for
+    the nonzero-coordinate evaluation."""
+    out = vzero(f.target_dim)
+    for idx in product(*(range(len(v)) for v in vectors)):
+        c = Fraction(1)
+        for v, i in zip(vectors, idx):
+            c *= v[i]
+        out = vadd(out, vscale(c, f.eval_indices(idx)))
+    return out
 
 
 def brute_unshuffles(i, n):
@@ -55,6 +121,66 @@ def test_unshuffles_spec_cases():
     # +1,-1,+1,+1,-1,+1 and sum to 2
     assert sum(s for _, s in brute_unshuffles(2, 4)) == 2
     assert sum(s for _, s in two_four) == 2
+
+
+def test_nr_compose_matches_unshuffle_sum():
+    rng = Random(47)
+    seen = set()
+    for _ in range(240):
+        dim = rng.randint(1, 6)
+        a, b = rng.randint(0, 3), rng.randint(0, 3)
+        p = rand_cochain(rng, a, dim, density=rng.choice((0.2, 0.6, 1.0)))
+        q = rand_cochain(rng, b, dim, density=rng.choice((0.2, 0.6, 1.0)))
+        got = nr_compose(p, q)
+        assert got == nr_compose_unshuffle_sum(p, q)
+        assert got.arity == max(a + b - 1, 0)
+        assert all(type(c) is Fraction for c in got.coeffs.values())
+        seen.add(((a - 1) % 2, (b - 1) % 2, got.is_zero()))
+    # both parities of both factors, with zero and nonzero results
+    assert {(x, y) for x, y, _ in seen} == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    assert {z for _, _, z in seen} == {False, True}
+
+
+def test_nr_compose_zero_and_arity_zero_cases():
+    rng = Random(53)
+    for dim in range(1, 5):
+        for a in range(4):
+            for b in range(4):
+                p = rand_cochain(rng, a, dim)
+                q = rand_cochain(rng, b, dim)
+                zp, zq = Cochain.zero(a, dim, dim), Cochain.zero(b, dim, dim)
+                for x, y in ((p, q), (zp, q), (p, zq), (zp, zq)):
+                    assert nr_compose(x, y) == nr_compose_unshuffle_sum(x, y)
+    # an element (arity 0) has no slot; P . v is P with v in the first
+    # slot: on n2, [e1 + 2 e2, e1] = -2 e2 and [e1 + 2 e2, e2] = e2
+    v = Cochain.from_element(vec([1, 2]), 2)
+    pi = n2().to_cochain()
+    assert nr_compose(v, pi) == Cochain.zero(1, 2, 2)
+    assert nr_compose(pi, v) == Cochain(1, 2, 2, {((0,), 1): -2, ((1,), 1): 1})
+    assert nr_compose(pi, v) == nr_compose_unshuffle_sum(pi, v)
+
+
+def test_eval_vectors_matches_index_expansion():
+    rng = Random(59)
+    for _ in range(150):
+        dim = rng.randint(1, 5)
+        td = rng.randint(1, 3)
+        arity = rng.randint(0, 3)
+        f = rand_cochain(rng, arity, dim, td, density=rng.choice((0.2, 0.6)))
+        vectors = [
+            vec(
+                rng.randint(-2, 2) if rng.random() < 0.5 else 0
+                for _ in range(dim)
+            )
+            for _ in range(arity)
+        ]
+        if arity and rng.random() < 0.2:
+            vectors[rng.randrange(arity)] = vzero(dim)
+        got = f.eval_vectors(vectors)
+        assert got == eval_vectors_index_expansion(f, vectors)
+        assert len(got) == td
+        assert all(type(c) is Fraction for c in got)
+    assert Cochain.zero(2, 3, 2).eval_vectors((vzero(3), vzero(3))) == vzero(2)
 
 
 def test_compose_with_zero_is_zero():
