@@ -51,21 +51,12 @@ from .extension import (
     maurer_cartan_verdict,
     validate_extension_datum,
 )
-from .linalg import Matrix, SubspaceBasis, in_span, kernel_basis, rank
-from .multilinear import (
-    Bidegree,
-    Cochain,
-    bidegree_of,
-    ce_coboundary,
-    lift_rep,
-    nr_bracket,
-    nr_compose,
-)
+from .linalg import Matrix, SubspaceBasis, in_span
+from .multilinear import Cochain, ce_coboundary, nr_bracket, nr_compose
 from .poisson import PolyBasis, lie_poisson_rep, reduced_bihamiltonian_dims
 
 __all__ = [
     "AlgebraDocument",
-    "Bidegree",
     "Cochain",
     "CochainTuple",
     "CompatiblePair",
@@ -82,7 +73,6 @@ __all__ = [
     "Verdict",
     "Witness",
     "adjoint_rep",
-    "bidegree_of",
     "build_extension",
     "c0_basis",
     "ce_coboundary",
@@ -99,16 +89,13 @@ __all__ = [
     "in_span",
     "is_infinitesimal_deformation",
     "is_nijenhuis",
-    "kernel_basis",
     "lie_poisson_rep",
-    "lift_rep",
     "maurer_cartan_verdict",
     "nijenhuis_torsion",
     "nr_bracket",
     "nr_compose",
     "parse",
     "pencil",
-    "rank",
     "reduced_bihamiltonian_dims",
     "reduced_cohomology_dims",
     "reduced_slice",

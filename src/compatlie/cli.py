@@ -32,6 +32,7 @@ from . import cohomology as coh
 from .core import (
     CompatiblePair,
     InternalCheckError,
+    LieBracket,
     Verdict,
     pencil,
     validate_bracket,
@@ -83,8 +84,12 @@ def _verdict_entry(name: str, v: Verdict) -> dict:
     return entry
 
 
-def _bracket_entries(b) -> list[list]:
-    return [[i + 1, j + 1, k + 1, _fr(c)] for (i, j, k), c in b.entries()]
+def _entry_rows(entries) -> list[dict]:
+    """Table rows of 0-based ((i, j, k), coefficient) entries, 1-based."""
+    return [
+        {"label": "entry", "i": i + 1, "j": j + 1, "k": k + 1, "coeff": _fr(c)}
+        for (i, j, k), c in entries
+    ]
 
 
 class Report:
@@ -299,8 +304,6 @@ def _extension_datum(doc: AlgebraDocument, args) -> ExtensionDatum:
             )
     base = _require_pair(doc)
     if args.mode == "abelian":
-        from .core import LieBracket
-
         fibre = CompatiblePair(LieBracket.zero(m), LieBracket.zero(m))
     else:
         for name in ("theta1", "theta2"):
@@ -315,8 +318,6 @@ def _extension_datum(doc: AlgebraDocument, args) -> ExtensionDatum:
                 raise CommandError(
                     f"fibre bracket cochains must map wedge^2 h to h (dim {m})"
                 )
-        from .core import LieBracket
-
         fb1 = LieBracket.from_cochain(t1)
         fb2 = LieBracket.from_cochain(t2)
         v = validate_pair(fb1, fb2)
@@ -332,21 +333,8 @@ def _cmd_extend(doc: AlgebraDocument, args, report: Report):
     report.verdict("extension-datum", v)
     report.verdict("maurer-cartan", maurer_cartan_verdict(datum))
     if v.ok:
-        b1, b2 = assemble_brackets(datum)
-        report.table(
-            "extension-bracket1",
-            [
-                {"label": "entry", "i": e[0], "j": e[1], "k": e[2], "coeff": e[3]}
-                for e in _bracket_entries(b1)
-            ],
-        )
-        report.table(
-            "extension-bracket2",
-            [
-                {"label": "entry", "i": e[0], "j": e[1], "k": e[2], "coeff": e[3]}
-                for e in _bracket_entries(b2)
-            ],
-        )
+        for which, b in enumerate(assemble_brackets(datum), start=1):
+            report.table(f"extension-bracket{which}", _entry_rows(b.entries()))
     if args.xi is not None:
         try:
             xi = doc.op_matrix(args.xi)
@@ -365,20 +353,9 @@ def _cmd_extend(doc: AlgebraDocument, args, report: Report):
         report.verdict(
             "isomorphic-under-xi", extensions_isomorphic_under(datum, moved, xi)
         )
-        report.table(
-            "gauge-omega1",
-            [
-                {"label": "entry", "i": i + 1, "j": j + 1, "k": k + 1, "coeff": _fr(c)}
-                for ((i, j), k), c in sorted(moved.omega1.coeffs.items())
-            ],
-        )
-        report.table(
-            "gauge-omega2",
-            [
-                {"label": "entry", "i": i + 1, "j": j + 1, "k": k + 1, "coeff": _fr(c)}
-                for ((i, j), k), c in sorted(moved.omega2.coeffs.items())
-            ],
-        )
+        for which, w in enumerate((moved.omega1, moved.omega2), start=1):
+            entries = (((i, j, k), c) for ((i, j), k), c in sorted(w.coeffs.items()))
+            report.table(f"gauge-omega{which}", _entry_rows(entries))
 
 
 def _cmd_poisson(doc: AlgebraDocument, args, report: Report):

@@ -11,16 +11,19 @@ brackets with coefficients rho and mu.  Their single-copy matrices
 (`ce_matrix`) are the only production coboundary: every matrix here is
 assembled from them, and `staircase_coboundary` applies them to the
 flattened components of one tuple.  Adjoint coefficients (rep=None) are the
-module `adjoint_rep(pair)`.  The per-subset sum `ce_coboundary`, its
-Nijenhuis-Richardson form `ce_coboundary_nr` and the adjoint form
-(-1)^(n-1)[pi, -]_NR (`ce_adjoint`) are test references.
+module `adjoint_rep(pair)`.  The per-subset Chevalley-Eilenberg sum
+(`multilinear.ce_coboundary`) is the reference the arms are tested against;
+its Nijenhuis-Richardson form and the adjoint form (-1)^(n-1)[pi, -]_NR are
+test references too (`tests/oracles.py`).
 
 Flattening order, fixed for reproducible matrices: component index is the
 outer (slowest) index, then the lexicographic subset, then the target index.
 
 The reduced complex is ker d1 inside the single-copy cochain space, carrying
 d2.  Its dimensions come from ranks: with Z_n = dim(ker d1 & ker d2) and
-K_n = dim ker d1 at arity n, H~n = Z_n - (K_{n-1} - Z_{n-1}).
+K_n = dim ker d1 at arity n, H~n = Z_n - (K_{n-1} - Z_{n-1}).  The explicit
+slices (`reduced_slice`: a kernel basis and the restricted d2) are the
+reference those dimensions are tested against.
 """
 
 from __future__ import annotations
@@ -251,6 +254,20 @@ def derivation_spaces(pair: CompatiblePair) -> tuple[SubspaceBasis, SubspaceBasi
     der = coboundary_matrix(pair, None, 1).matrix.kernel_basis()
     ider = coboundary_matrix(pair, None, 0).matrix.column_space_basis()
     return der, ider
+
+
+def coboundary_preimage(
+    pair: CompatiblePair, rep: RepPair | None, target: CochainTuple
+) -> Matrix | None:
+    """A linear map phi: g -> V whose degree-1 staircase coboundary is the
+    degree-2 tuple `target`, as an m x n matrix, or None when `target` is
+    not a coboundary; rep=None means adjoint coefficients."""
+    coeffs = coboundary_matrix(pair, rep, 1).matrix.solve(target.flatten())
+    if coeffs is None:
+        return None
+    n = pair.dim
+    m = n if rep is None else rep.module_dim
+    return Matrix([[coeffs[j * m + k] for j in range(n)] for k in range(m)])
 
 
 # -- single-copy coefficient complex and the reduced complex --------------------

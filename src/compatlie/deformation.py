@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cohomology import CochainTuple, coboundary_matrix, staircase_coboundary
+from .cohomology import CochainTuple, coboundary_preimage, staircase_coboundary
 from .core import (
     CompatiblePair,
     InternalCheckError,
@@ -244,15 +244,6 @@ def cohomology_obstruction(
     """The linear part of the equivalence problem: is (w1-w1', w2-w2') in
     the image of the degree-1 coboundary?  Returns (answer, certificate N
     as a matrix or None)."""
-    sl = coboundary_matrix(pair, None, 1)
-    diff = CochainTuple(
-        2, [d.omega1 - d_prime.omega1, d.omega2 - d_prime.omega2]
-    ).flatten()
-    coeffs = sl.matrix.solve(diff)
-    if coeffs is None:
-        return False, None
-    dim = pair.dim
-    n_op = Matrix(
-        [[coeffs[j * dim + k] for j in range(dim)] for k in range(dim)]
-    )
-    return True, n_op
+    diff = CochainTuple(2, [d.omega1 - d_prime.omega1, d.omega2 - d_prime.omega2])
+    n_op = coboundary_preimage(pair, None, diff)
+    return n_op is not None, n_op

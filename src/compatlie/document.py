@@ -151,10 +151,10 @@ def _bracket(dim, entries) -> LieBracket:
 
 def parse(text: str) -> AlgebraDocument:
     dim = None
-    dim_line = 0
     pi: dict[str, dict] = {"pi1": {}, "pi2": {}}
     pi_lines: dict[str, dict] = {"pi1": {}, "pi2": {}}
     rep_dim = None
+    rep_line = 0
     rep_mats: dict[tuple[str, int], list] = {}
     rep_mat_lines: dict[tuple[str, int], int] = {}
     ops: dict[str, list] = {}
@@ -182,6 +182,8 @@ def parse(text: str) -> AlgebraDocument:
                     raise ParseError(ln, f"duplicate section [{kind}]")
                 seen_sections.add(kind)
                 section = (kind, None)
+                if kind == "rep":
+                    rep_line = ln
             elif kind in ("op", "cochain"):
                 if name is None or not _NAME.match(name):
                     raise ParseError(ln, f"section [{kind}] needs a valid name")
@@ -215,7 +217,6 @@ def parse(text: str) -> AlgebraDocument:
                 if dim is not None:
                     raise ParseError(ln, "dim given twice")
                 dim = _integer(toks[1], ln, "dim must be a positive integer", 1)
-                dim_line = ln
             else:
                 raise ParseError(ln, f"unexpected line in [algebra]: {line!r}")
         elif kind in ("pi1", "pi2"):
@@ -290,7 +291,7 @@ def parse(text: str) -> AlgebraDocument:
     rep = None
     if "rep" in seen_sections:
         if rep_dim is None:
-            raise ParseError(dim_line, "[rep] section is missing its dim")
+            raise ParseError(rep_line, "[rep] section is missing its dim")
         for (which, idx), rows in rep_mats.items():
             at = rep_mat_lines[(which, idx)]
             if not 1 <= idx <= dim:

@@ -21,14 +21,14 @@ The same data can be packaged as a pair of lifted cochains
 (rho^ + w1^, mu^ + w2^) in the graded algebra of the product pair, twisted
 by the differentials [pi_i^ + theta_i^, -]; the three Maurer-Cartan
 identities are then the same three Jacobiators (Nijenhuis-Richardson), so
-the Maurer-Cartan verdict reads them too.  The lifts (`_anchors`,
-`_mc_elements`) stay for the graded gauge routes and as the tests'
-independent Maurer-Cartan reference.
+the Maurer-Cartan verdict reads them too.
 
-Gauge transformations by a linear map xi: g -> h act on data; two data give
-isomorphic extensions exactly when they differ by such a transformation,
-and the closed-form transformation agrees with re-extracting along the
-shifted section.
+Gauge transformations by a linear map xi: g -> h act on data in closed form;
+two data give isomorphic extensions exactly when one is the transform of
+the other, and the transform agrees with re-extracting along the shifted
+section.  The lifted elements, the twisted differentials and the graded and
+exponential-series forms of the gauge action are test references
+(`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -36,9 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 
-from .cohomology import CochainTuple, coboundary_matrix, staircase_coboundary
+from .cohomology import CochainTuple, coboundary_preimage, staircase_coboundary
 from .core import (
     OK,
     CompatiblePair,
@@ -50,18 +49,8 @@ from .core import (
     combination,
     first_failure,
 )
-from .linalg import Matrix, Vec, is_zero_vec, vadd, vsub
-from .multilinear import (
-    Cochain,
-    gauge_series_coefficients,
-    lift_endo_cochain,
-    lift_linear_map,
-    lift_module_cochain,
-    lift_rep,
-    lift_side2_bracket,
-    nr_bracket,
-    nr_compose,
-)
+from .linalg import Matrix, Vec, vadd, vsub
+from .multilinear import Cochain, nr_bracket, nr_compose
 
 
 @dataclass(frozen=True)
@@ -351,16 +340,9 @@ def cocycles_cohomologous(
         closed = staircase_coboundary(pair, CochainTuple(2, [w1, w2]), rep)
         if not closed.is_zero():
             raise ValueError("input is not a 2-cocycle")
-    diff = CochainTuple(
-        2, [first[0] - second[0], first[1] - second[1]]
-    ).flatten()
-    sl = coboundary_matrix(pair, rep, 1)
-    coeffs = sl.matrix.solve(diff)
-    if coeffs is None:
-        return Verdict(False, None), None
-    n, m = pair.dim, rep.module_dim
-    phi = Matrix([[coeffs[j * m + k] for j in range(n)] for k in range(m)])
-    return OK, phi
+    diff = CochainTuple(2, [first[0] - second[0], first[1] - second[1]])
+    phi = coboundary_preimage(pair, rep, diff)
+    return (Verdict(False, None) if phi is None else OK), phi
 
 
 # -- gauge action and isomorphism of nonabelian extensions -----------------------
@@ -401,57 +383,6 @@ def gauge_transform(datum: ExtensionDatum, xi: Matrix) -> ExtensionDatum:
     return ExtensionDatum(g, h, rho2, mu2, w12, w22)
 
 
-def _anchors(datum: ExtensionDatum):
-    g, h = datum.base, datum.fibre
-    n, m = g.dim, h.dim
-    a1 = (
-        lift_endo_cochain(g.bracket1.to_cochain(), m).lift()
-        + lift_side2_bracket(h.bracket1.to_cochain(), n).lift()
-    )
-    a2 = (
-        lift_endo_cochain(g.bracket2.to_cochain(), m).lift()
-        + lift_side2_bracket(h.bracket2.to_cochain(), n).lift()
-    )
-    return a1, a2
-
-
-def _mc_elements(datum: ExtensionDatum):
-    n, m = datum.base_dim, datum.fibre_dim
-    p1 = lift_rep(datum.rho, n, m).lift() + lift_module_cochain(datum.omega1).lift()
-    p2 = lift_rep(datum.mu, n, m).lift() + lift_module_cochain(datum.omega2).lift()
-    return p1, p2
-
-
-def _split_mc_element(p: Cochain, n: int, m: int):
-    """Decompose a 1|0 + 2|-1 element back into action matrices and a
-    cochain; raises on entries outside those blocks."""
-    act_entries: dict[tuple[int, int, int], Fraction] = {}
-    w_entries = {}
-    for (subset, t), c in p.coeffs.items():
-        if t < n:
-            raise ValueError("element has a base-valued component")
-        g_part = [i for i in subset if i < n]
-        h_part = [i for i in subset if i >= n]
-        if len(g_part) == 2 and not h_part:
-            w_entries[(tuple(g_part), t - n)] = c
-        elif len(g_part) == 1 and len(h_part) == 1:
-            act_entries[(g_part[0], h_part[0] - n, t - n)] = c
-        else:
-            raise ValueError("element has entries outside the datum blocks")
-    mats = []
-    for i in range(n):
-        mats.append(
-            Matrix(
-                [
-                    [act_entries.get((i, a, b), Fraction(0)) for a in range(m)]
-                    for b in range(m)
-                ]
-            )
-        )
-    w = Cochain(2, n, m, w_entries)
-    return tuple(mats), w
-
-
 def maurer_cartan_verdict(datum: ExtensionDatum) -> Verdict:
     """The three Maurer-Cartan identities for (rho^ + w1^, mu^ + w2^) in
     the twisted graded algebra of the product pair, which are the datum's
@@ -459,114 +390,36 @@ def maurer_cartan_verdict(datum: ExtensionDatum) -> Verdict:
     return first_failure(zip(("mc-1", "mc-2", "mc-3"), datum.jacobiators))
 
 
-def gauge_transform_nr(datum: ExtensionDatum, xi: Matrix) -> ExtensionDatum:
-    """The gauge action computed in the graded algebra:
-
-        P_i' = P_i + [s^, act^] - d_i(s^) - (1/2)[s^, d_i(s^)]
-
-    with d_i = [anchor_i, -] and s = -xi.  Under the composition convention
-    fixed by the coboundary cross-checks, the exponential-formula parameter
-    is the negative of the xi appearing in the difference equations and the
-    section shift (gauge orbits are unaffected); the sign is pinned here so
-    that all three routes agree for the same xi.  Must agree with the
-    closed form."""
-    n, m = datum.base_dim, datum.fibre_dim
-    a1, a2 = _anchors(datum)
-    p1, p2 = _mc_elements(datum)
-    xi_hat = lift_linear_map(xi.scale(-1), n, m).lift()
-    rho_hat = lift_rep(datum.rho, n, m).lift()
-    mu_hat = lift_rep(datum.mu, n, m).lift()
-    half = Fraction(1, 2)
-
-    def one_side(p, act_hat, anchor):
-        d_xi = nr_bracket(anchor, xi_hat)
-        return (
-            p
-            + nr_bracket(xi_hat, act_hat)
-            - d_xi
-            - nr_bracket(xi_hat, d_xi).scale(half)
-        )
-
-    new1 = one_side(p1, rho_hat, a1)
-    new2 = one_side(p2, mu_hat, a2)
-    rho2, w12 = _split_mc_element(new1, n, m)
-    mu2, w22 = _split_mc_element(new2, n, m)
-    return ExtensionDatum(datum.base, datum.fibre, rho2, mu2, w12, w22)
-
-
-def gauge_transform_series(
-    datum: ExtensionDatum, xi: Matrix, terms: int = 4
-) -> ExtensionDatum:
-    """Debug route: evaluate the exponential gauge formula
-
-        P' = e^{ad_xi} P - sum_k ad_xi^k/(k+1)!  d(xi)
-
-    to `terms` terms; the series truncates after the closed-form terms
-    because repeated brackets with xi drop out of the block grid.  The
-    parameter is negated as in `gauge_transform_nr`."""
-    n, m = datum.base_dim, datum.fibre_dim
-    a1, a2 = _anchors(datum)
-    p1, p2 = _mc_elements(datum)
-    xi_hat = lift_linear_map(xi.scale(-1), n, m).lift()
-    inv_factorials = gauge_series_coefficients(terms)
-
-    def one_side(p, anchor):
-        # e^{ad_xi} p
-        total = p
-        power = p
-        fact = Fraction(1)
-        for k in range(1, terms + 1):
-            power = nr_bracket(xi_hat, power)
-            fact = fact / k
-            total = total + power.scale(fact)
-        # (e^{ad_xi}-1)/ad_xi applied to d(xi)
-        d_xi = nr_bracket(anchor, xi_hat)
-        piece = d_xi
-        for k, coeff in enumerate(inv_factorials):
-            total = total - piece.scale(coeff)
-            piece = nr_bracket(xi_hat, piece)
-        return total
-
-    rho2, w12 = _split_mc_element(one_side(p1, a1), n, m)
-    mu2, w22 = _split_mc_element(one_side(p2, a2), n, m)
-    return ExtensionDatum(datum.base, datum.fibre, rho2, mu2, w12, w22)
-
-
 def extensions_isomorphic_under(
     datum: ExtensionDatum, other: ExtensionDatum, xi: Matrix
 ) -> Verdict:
-    """Do the four displayed difference equations hold for xi?  When they
-    do, the map (x, u) -> (x, -xi(x) + u) is verified to intertwine the two
+    """Is `other` the gauge transform of `datum` by xi?  The four displayed
+    difference equations compare `other` with `gauge_transform(datum, xi)`:
+    the actions (iso-1, iso-2) at the first base index where they differ,
+    then the cochains (iso-3, iso-4) at the first base pair.  When all hold,
+    the map (x, u) -> (x, -xi(x) + u) is verified to intertwine the two
     built extensions (both brackets, all basis pairs)."""
     g, h = datum.base, datum.fibre
     n, m = g.dim, h.dim
     if (other.base, other.fibre) != (g, h):
         raise ValueError("data must extend the same base by the same fibre")
-    for law, act, act2, h_br in (
-        ("iso-1", datum.rho, other.rho, h.bracket1),
-        ("iso-2", datum.mu, other.mu, h.bracket2),
+    moved = gauge_transform(datum, xi)
+    for law, acts, acts2 in (
+        ("iso-1", moved.rho, other.rho),
+        ("iso-2", moved.mu, other.mu),
     ):
-        ad = h_br.ad_matrices()
-        for i in range(n):
-            diff = act2[i] - act[i] - combination(ad, xi.column(i), m)
-            if not diff.is_zero():
-                return _matrix_witness(law, (i + 1,), diff)
-    for law, act, w, w2, g_br, h_br in (
-        ("iso-3", datum.rho, datum.omega1, other.omega1, g.bracket1, h.bracket1),
-        ("iso-4", datum.mu, datum.omega2, other.omega2, g.bracket2, h.bracket2),
-    ):
-        for i in range(n):
-            for j in range(i + 1, n):
-                expected = vadd(
-                    vsub(act[i].matvec(xi.column(j)), act[j].matvec(xi.column(i))),
-                    vsub(
-                        h_br.bracket(xi.column(i), xi.column(j)),
-                        xi.matvec(g_br.bracket_basis(i, j)),
-                    ),
-                )
-                diff = vsub(vsub(w2.value((i, j)), w.value((i, j))), expected)
-                if not is_zero_vec(diff):
-                    return Verdict(False, Witness(law, (i + 1, j + 1), diff))
+        for i, (act, act2) in enumerate(zip(acts, acts2)):
+            if act2 != act:
+                return _matrix_witness(law, (i + 1,), act2 - act)
+    v = first_failure(
+        (law, w2 - w)
+        for law, w, w2 in (
+            ("iso-3", moved.omega1, other.omega1),
+            ("iso-4", moved.omega2, other.omega2),
+        )
+    )
+    if not v:
+        return v
     # explicit isomorphism check between the built extensions
     e1 = assemble_brackets(datum)
     e2 = assemble_brackets(other)
@@ -590,59 +443,3 @@ def extensions_isomorphic_under(
                         "difference equations hold but theta fails"
                     )
     return OK
-
-
-# -- the twisted subcomplex on cochains killing the fibre ------------------------
-
-
-def _gt_subsets(total: int, n: int, arity: int):
-    """Increasing subsets of the sum basis with at least one base index."""
-    return [
-        s
-        for s in combinations(range(total), arity)
-        if any(i < n for i in s)
-    ]
-
-
-def twisted_boundary_matrices(
-    g_pair: CompatiblePair, h_pair: CompatiblePair, arity: int
-) -> tuple[Matrix, Matrix]:
-    """Matrices of the two twisted differentials [anchor_i, -] on the space
-    of arity-`arity` cochains valued in the fibre that vanish on pure-fibre
-    inputs; closure of that space is checked (the subalgebra lemma)."""
-    n, m = g_pair.dim, h_pair.dim
-    total = n + m
-    datum0 = ExtensionDatum(
-        g_pair,
-        h_pair,
-        tuple(Matrix.zeros(m, m) for _ in range(n)),
-        tuple(Matrix.zeros(m, m) for _ in range(n)),
-        Cochain.zero(2, n, m),
-        Cochain.zero(2, n, m),
-    )
-    a1, a2 = _anchors(datum0)
-    dom = _gt_subsets(total, n, arity)
-    cod = _gt_subsets(total, n, arity + 1)
-    cod_index = {
-        (s, t): pos * m + k
-        for pos, s in enumerate(cod)
-        for k, t in enumerate(range(n, total))
-    }
-
-    def matrix_of(anchor):
-        cols = []
-        for s in dom:
-            for t in range(n, total):
-                e = Cochain(arity, total, total, {(s, t): 1})
-                d = nr_bracket(anchor, e)
-                col = [Fraction(0)] * (len(cod) * m)
-                for (subset, tt), c in d.coeffs.items():
-                    if tt < n or all(i >= n for i in subset):
-                        raise InternalCheckError(
-                            "twisted differential left the subcomplex"
-                        )
-                    col[cod_index[(subset, tt)]] = c
-                cols.append(tuple(col))
-        return Matrix.from_columns(cols, rows=len(cod) * m)
-
-    return matrix_of(a1), matrix_of(a2)

@@ -7,16 +7,14 @@ algebraically closed field of characteristic 0, but every operation in this
 package (brackets, coboundaries, ranks) is rational-linear in the structure
 constants, so working over the rationals loses nothing.
 
-Two independent elimination routines are provided: plain rational
-Gauss-Jordan (`Matrix.rref`, used everywhere) and a Bareiss fraction-free
-elimination over the integers (`rank_bareiss`), kept as a cross-check oracle.
+Every rank, kernel, image, solve and basis completion comes from one
+rational Gauss-Jordan elimination, `Matrix.rref`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 Vec = tuple[Fraction, ...]
 
@@ -265,14 +263,6 @@ class SubspaceBasis:
         return Matrix.from_columns(self.vectors, rows=self.ambient_dim)
 
 
-def rank(m: Matrix) -> int:
-    return m.rank()
-
-
-def kernel_basis(m: Matrix) -> SubspaceBasis:
-    return m.kernel_basis()
-
-
 def in_span(basis: SubspaceBasis, v: Vec) -> tuple[bool, Vec | None]:
     """Is v a rational combination of the basis vectors?  When yes, the
     certificate coefficients c with basis . c = v are returned."""
@@ -291,32 +281,3 @@ def extend_basis(base: list[Vec], candidates: list[Vec], ambient: int) -> list[V
     m = Matrix.from_columns([*base, *candidates], rows=ambient)
     _, pivots = m.rref()
     return [m.column(c) for c in pivots if c >= len(base)]
-
-
-def rank_bareiss(m: Matrix) -> int:
-    """Rank via integer fraction-free (Bareiss) elimination.
-
-    Independent of `Matrix.rref`: rows are cleared of denominators (which
-    preserves rank) and all pivoting is done in exact integer arithmetic.
-    """
-    a = []
-    for row in m._a:
-        mult = lcm(*(x.denominator for x in row)) if row else 1
-        a.append([int(x * mult) for x in row])
-    nrows, ncols = m.rows, m.cols
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        if r == nrows:
-            break
-        p = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) // prev
-            a[i][c] = 0
-        prev = a[r][c]
-        r += 1
-    return r

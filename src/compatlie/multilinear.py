@@ -13,19 +13,18 @@ The graded Lie structure: a cochain of arity p+1 has degree p, and
         sign(s) P(Q(x_{s(1)}..x_{s(q+1)}), x_{s(q+2)}..x_{s(p+q+1)}).
 
 `nr_compose` evaluates this sum as a scatter over the stored nonzeros.
-
-These operations are implemented for endomorphism-valued cochains only;
-module-valued cochains enter the bracket through lifts to the direct sum
-(see `BiMap.lift`), where a bidegree bookkeeping makes the block structure
-explicit.
+The bracket is implemented for endomorphism-valued cochains only.  Module
+coefficients enter the library through the Chevalley-Eilenberg arm matrices
+of `cohomology.ce_matrix`; `ce_coboundary` is the per-subset sum they are
+tested against.  The lifts to a direct sum that carry module cochains into
+the bracket are test references (`tests/oracles.py`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, factorial, prod
+from math import comb, prod
 
 from .linalg import Matrix, Vec, frac, is_zero_vec, vadd, vscale, vzero
 
@@ -289,152 +288,6 @@ def nr_bracket(p: Cochain, q: Cochain) -> Cochain:
     return left - right if pq % 2 == 0 else left + right
 
 
-# -- lifts to a direct sum and bidegrees ---------------------------------------
-
-
-@dataclass(frozen=True)
-class Bidegree:
-    k: int
-    l: int
-
-    def __str__(self):
-        return f"{self.k}|{self.l}"
-
-
-@dataclass(frozen=True)
-class BiMap:
-    """A map wedge^k(side 1) x wedge^l(side 2) -> one side of the sum,
-    tabulated on increasing basis subsets of each factor.
-
-    table maps (I, J, t) -> coefficient where I is an increasing k-subset of
-    side 1, J an increasing l-subset of side 2 and t a basis index of the
-    target side.
-    """
-
-    k: int
-    l: int
-    dim1: int
-    dim2: int
-    target_side: int  # 1 or 2
-    table: tuple  # ((I, J, t, Fraction), ...) sorted
-
-    @classmethod
-    def make(cls, k, l, dim1, dim2, target_side, entries) -> "BiMap":
-        if target_side not in (1, 2):
-            raise ValueError("target_side must be 1 or 2")
-        rows = []
-        for (i_set, j_set, t), c in sorted(entries.items()):
-            c = frac(c)
-            if c != 0:
-                rows.append((tuple(i_set), tuple(j_set), t, c))
-        return cls(k, l, dim1, dim2, target_side, tuple(rows))
-
-    def lift(self) -> Cochain:
-        """The lift to an (k+l)-cochain on the direct sum.
-
-        Basis vectors of the sum are ordered side 1 first, so on an
-        increasing basis subset exactly one unshuffle separates the two
-        kinds of arguments and it is the identity; the general interleaving
-        only shows up when the lift is evaluated on non-basis arguments,
-        which the alternating extension already covers.
-        """
-        n, m = self.dim1, self.dim2
-        coeffs = {}
-        for i_set, j_set, t, c in self.table:
-            subset = i_set + tuple(n + j for j in j_set)
-            target = t if self.target_side == 1 else n + t
-            coeffs[(subset, target)] = c
-        return Cochain(self.k + self.l, n + m, n + m, coeffs)
-
-
-def lift_endo_cochain(f: Cochain, dim2: int = 0) -> BiMap:
-    """f: wedge^k g -> g as a (k, 0) map into side 1 of g + V."""
-    entries = {(s, (), t): c for (s, t), c in f.coeffs.items()}
-    return BiMap.make(f.arity, 0, f.source_dim, dim2, 1, entries)
-
-
-def lift_module_cochain(f: Cochain, dim2: int | None = None) -> BiMap:
-    """f: wedge^k g -> V as a (k, 0) map into side 2."""
-    m = f.target_dim if dim2 is None else dim2
-    entries = {(s, (), t): c for (s, t), c in f.coeffs.items()}
-    return BiMap.make(f.arity, 0, f.source_dim, m, 2, entries)
-
-
-def lift_rep(matrices, dim1: int, dim2: int) -> BiMap:
-    """rho: g x V -> V, rho(e_i) given as a matrix, as a (1, 1) map."""
-    entries = {}
-    for i in range(dim1):
-        m = matrices[i]
-        for a in range(dim2):
-            for b in range(dim2):
-                entries[((i,), (a,), b)] = m[b, a]
-    return BiMap.make(1, 1, dim1, dim2, 2, entries)
-
-
-def lift_side2_bracket(theta: Cochain, dim1: int) -> BiMap:
-    """theta: wedge^2 V -> V as a (0, 2) map into side 2."""
-    entries = {((), s, t): c for (s, t), c in theta.coeffs.items()}
-    return BiMap.make(0, theta.arity, dim1, theta.source_dim, 2, entries)
-
-
-def lift_linear_map(xi: Matrix, dim1: int, dim2: int) -> BiMap:
-    """xi: g -> V as a (1, 0) map into side 2 (a 1|-1 element)."""
-    entries = {}
-    for i in range(dim1):
-        for t in range(dim2):
-            entries[((i,), (), t)] = xi[t, i]
-    return BiMap.make(1, 0, dim1, dim2, 2, entries)
-
-
-def bidegree_of(f: Cochain, dim1: int, dim2: int) -> Bidegree | None:
-    """Detect the bidegree of a cochain on a split space, or None.
-
-    A map of arity k+l+1 has bidegree k|l when inputs with k+1 arguments
-    from side 1 and l from side 2 land in side 1, inputs with k and l+1
-    land in side 2, and everything else is killed.  Only the vanishing
-    pattern is inspected; nothing is inferred from how f was built.  The
-    zero map matches every bidegree and is reported as None.
-    """
-    if f.source_dim != dim1 + dim2 or f.target_dim != dim1 + dim2:
-        raise ValueError("split does not match the cochain's space")
-    if f.is_zero():
-        return None
-    r = f.arity - 1
-    for k in range(-1, r + 2):
-        l = r - k
-        if l < -1:
-            continue
-        if _has_bidegree(f, dim1, k, l):
-            return Bidegree(k, l)
-    return None
-
-
-def _has_bidegree(f: Cochain, dim1: int, k: int, l: int) -> bool:
-    for (subset, t), c in f.coeffs.items():
-        a = sum(1 for i in subset if i < dim1)
-        b = len(subset) - a
-        if t < dim1:
-            if (a, b) != (k + 1, l):
-                return False
-        else:
-            if (a, b) != (k, l + 1):
-                return False
-    return True
-
-
-def module_component(f: Cochain, dim1: int, dim2: int) -> Cochain:
-    """Read an (arity)|-1 cochain on the sum back as a map wedge^* g -> V.
-
-    Raises if f has entries outside that block.
-    """
-    coeffs = {}
-    for (subset, t), c in f.coeffs.items():
-        if any(i >= dim1 for i in subset) or t < dim1:
-            raise ValueError("cochain is not concentrated in the module block")
-        coeffs[(subset, t - dim1)] = c
-    return Cochain(f.arity, dim1, dim2, coeffs)
-
-
 # -- Chevalley-Eilenberg coboundary ---------------------------------------------
 
 
@@ -449,7 +302,8 @@ def ce_coboundary(pi: Cochain, rho, f: Cochain) -> Cochain:
     evaluated exactly on increasing basis subsets.  rho is one target-space
     matrix per source basis vector; pi is an arity-2 endomorphism cochain.
     The production coboundary is the arm matrix `cohomology.ce_matrix`;
-    this sum is the reference it is tested against.
+    this sum is the reference it is tested against, and a trace target of
+    the benchmark.
     """
     n = f.arity
     sd = f.source_dim
@@ -482,26 +336,3 @@ def ce_coboundary(pi: Cochain, rho, f: Cochain) -> Cochain:
                     total = vadd(total, vscale(sign, term))
         values[subset] = total
     return Cochain.from_values(n + 1, sd, td, values)
-
-
-def ce_coboundary_nr(pi: Cochain, rho, f: Cochain) -> Cochain:
-    """The same operator computed as (-1)^{n-1}[pi^ + rho^, f^]_NR through
-    lifts to the direct sum; cross-checks the explicit sum."""
-    n = f.arity
-    sd, td = f.source_dim, f.target_dim
-    anchor = lift_endo_cochain(pi, td).lift() + lift_rep(rho, sd, td).lift()
-    bracket = nr_bracket(anchor, lift_module_cochain(f).lift())
-    signed = bracket if (n - 1) % 2 == 0 else bracket.scale(-1)
-    return module_component(signed, sd, td)
-
-
-def ce_adjoint(pi: Cochain, f: Cochain) -> Cochain:
-    """d^n_pi f = (-1)^{n-1}[pi, f]_NR, the adjoint-coefficient coboundary."""
-    b = nr_bracket(pi, f)
-    return b if (f.arity - 1) % 2 == 0 else b.scale(-1)
-
-
-def gauge_series_coefficients(terms: int) -> list[Fraction]:
-    """1/(k+1)! for k < terms: the (e^x - 1)/x series, used by the gauge
-    debug mode."""
-    return [Fraction(1, factorial(k + 1)) for k in range(terms)]

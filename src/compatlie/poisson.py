@@ -119,8 +119,9 @@ def lie_poisson_rep(pair: CompatiblePair, max_degree: int) -> PolyRep:
 
 
 def degree_block(poly: PolyRep, d: int) -> RepPair:
-    """The degree-d block as a standalone representation; raises if any
-    matrix has an entry outside its degree blocks."""
+    """The degree-d block as a standalone representation.  The action
+    preserves degree by construction, so an entry outside the degree
+    blocks is a bug and raises `InternalCheckError`."""
     idx = poly.basis.degree_indices(d)
     others = [i for i in range(len(poly.basis.monomials)) if i not in idx]
 
@@ -128,7 +129,9 @@ def degree_block(poly: PolyRep, d: int) -> RepPair:
         for r in idx:
             for c in others:
                 if m[r, c] != 0 or m[c, r] != 0:
-                    raise ValueError("action does not preserve polynomial degree")
+                    raise InternalCheckError(
+                        "action does not preserve polynomial degree"
+                    )
         return Matrix([[m[r, c] for c in idx] for r in idx])
 
     return RepPair(

@@ -1,0 +1,535 @@
+"""Second routes: independent computations the library is tested against.
+
+The library computes every quantity one way.  The paper describes most of
+them a second way as well, in the graded Lie algebra of cochains on a
+direct sum: lifts with bidegrees, the Nijenhuis-Richardson form of the
+coboundaries, the Maurer-Cartan elements of an extension, the twisted
+differentials and the gauge exponential.  Those descriptions live here,
+with the defining sums the sparse kernels replaced (unshuffles, evaluation
+on every index tuple) and a fraction-free elimination.  Nothing in
+`compatlie` imports this module.
+"""
+
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import combinations, product
+from math import factorial, lcm
+
+from compatlie.core import (
+    OK,
+    CompatiblePair,
+    InternalCheckError,
+    Verdict,
+    Witness,
+    combination,
+    first_failure,
+)
+from compatlie.extension import ExtensionDatum
+from compatlie.linalg import Matrix, frac, is_zero_vec, vadd, vscale, vsub, vzero
+from compatlie.multilinear import Cochain, nr_bracket
+
+# -- permutations and the defining sums ------------------------------------------
+
+
+def perm_sign(word) -> int:
+    """Sign of a permutation given as a sequence of distinct values."""
+    inv = sum(
+        1
+        for i in range(len(word))
+        for j in range(i + 1, len(word))
+        if word[i] > word[j]
+    )
+    return -1 if inv % 2 else 1
+
+
+def unshuffles(i: int, n: int) -> list:
+    """All (i, n-i)-unshuffles of {0..n-1} with their signs.
+
+    A permutation s is an (i, n-i)-unshuffle when s(1) < .. < s(i) and
+    s(i+1) < .. < s(n); it is determined by the first block, so the list is
+    generated by choosing the block (length C(n, i)), never by filtering all
+    n! permutations.  Each entry is (s(1)..s(n)) as a tuple with its sign.
+    For i = 0 or i = n only the identity occurs.
+    """
+    if not 0 <= i <= n:
+        raise ValueError(f"need 0 <= i <= n, got ({i}, {n})")
+    out = []
+    for first in combinations(range(n), i):
+        chosen = set(first)
+        rest = tuple(k for k in range(n) if k not in chosen)
+        word = first + rest
+        out.append((word, perm_sign(word)))
+    return out
+
+
+def nr_compose_unshuffle_sum(p: Cochain, q: Cochain) -> Cochain:
+    """P . Q by the defining sum over every subset and every unshuffle,
+    with dense target vectors: the reference for the scatter."""
+    n = p.source_dim
+    if p.arity == 0:
+        return Cochain.zero(max(q.arity - 1, 0), n, n)
+    r = p.arity + q.arity - 1
+    sh = unshuffles(q.arity, r)
+    values = {}
+    for subset in combinations(range(n), r):
+        total = vzero(n)
+        for word, sign in sh:
+            inner = tuple(subset[word[t]] for t in range(q.arity))
+            outer = tuple(subset[word[t]] for t in range(q.arity, r))
+            w = q.value(inner)  # inner is increasing: direct lookup
+            if is_zero_vec(w):
+                continue
+            total = vadd(total, vscale(sign, p.eval_vector_first(w, outer)))
+        values[subset] = total
+    return Cochain.from_values(r, n, n, values)
+
+
+def eval_vectors_index_expansion(f: Cochain, vectors) -> tuple:
+    """f on vectors by the sum over every index tuple: the reference for
+    the nonzero-coordinate evaluation."""
+    out = vzero(f.target_dim)
+    for idx in product(*(range(len(v)) for v in vectors)):
+        c = Fraction(1)
+        for v, i in zip(vectors, idx):
+            c *= v[i]
+        out = vadd(out, vscale(c, f.eval_indices(idx)))
+    return out
+
+
+# -- lifts to a direct sum and bidegrees -------------------------------------------
+
+
+@dataclass(frozen=True)
+class Bidegree:
+    k: int
+    l: int
+
+    def __str__(self):
+        return f"{self.k}|{self.l}"
+
+
+@dataclass(frozen=True)
+class BiMap:
+    """A map wedge^k(side 1) x wedge^l(side 2) -> one side of the sum,
+    tabulated on increasing basis subsets of each factor.
+
+    table maps (I, J, t) -> coefficient where I is an increasing k-subset of
+    side 1, J an increasing l-subset of side 2 and t a basis index of the
+    target side.
+    """
+
+    k: int
+    l: int
+    dim1: int
+    dim2: int
+    target_side: int  # 1 or 2
+    table: tuple  # ((I, J, t, Fraction), ...) sorted
+
+    @classmethod
+    def make(cls, k, l, dim1, dim2, target_side, entries) -> "BiMap":
+        if target_side not in (1, 2):
+            raise ValueError("target_side must be 1 or 2")
+        rows = []
+        for (i_set, j_set, t), c in sorted(entries.items()):
+            c = frac(c)
+            if c != 0:
+                rows.append((tuple(i_set), tuple(j_set), t, c))
+        return cls(k, l, dim1, dim2, target_side, tuple(rows))
+
+    def lift(self) -> Cochain:
+        """The lift to an (k+l)-cochain on the direct sum.
+
+        Basis vectors of the sum are ordered side 1 first, so on an
+        increasing basis subset exactly one unshuffle separates the two
+        kinds of arguments and it is the identity; the general interleaving
+        only shows up when the lift is evaluated on non-basis arguments,
+        which the alternating extension already covers.
+        """
+        n, m = self.dim1, self.dim2
+        coeffs = {}
+        for i_set, j_set, t, c in self.table:
+            subset = i_set + tuple(n + j for j in j_set)
+            target = t if self.target_side == 1 else n + t
+            coeffs[(subset, target)] = c
+        return Cochain(self.k + self.l, n + m, n + m, coeffs)
+
+
+def lift_endo_cochain(f: Cochain, dim2: int = 0) -> BiMap:
+    """f: wedge^k g -> g as a (k, 0) map into side 1 of g + V."""
+    entries = {(s, (), t): c for (s, t), c in f.coeffs.items()}
+    return BiMap.make(f.arity, 0, f.source_dim, dim2, 1, entries)
+
+
+def lift_module_cochain(f: Cochain, dim2: int | None = None) -> BiMap:
+    """f: wedge^k g -> V as a (k, 0) map into side 2."""
+    m = f.target_dim if dim2 is None else dim2
+    entries = {(s, (), t): c for (s, t), c in f.coeffs.items()}
+    return BiMap.make(f.arity, 0, f.source_dim, m, 2, entries)
+
+
+def lift_rep(matrices, dim1: int, dim2: int) -> BiMap:
+    """rho: g x V -> V, rho(e_i) given as a matrix, as a (1, 1) map."""
+    entries = {}
+    for i in range(dim1):
+        m = matrices[i]
+        for a in range(dim2):
+            for b in range(dim2):
+                entries[((i,), (a,), b)] = m[b, a]
+    return BiMap.make(1, 1, dim1, dim2, 2, entries)
+
+
+def lift_side2_bracket(theta: Cochain, dim1: int) -> BiMap:
+    """theta: wedge^2 V -> V as a (0, 2) map into side 2."""
+    entries = {((), s, t): c for (s, t), c in theta.coeffs.items()}
+    return BiMap.make(0, theta.arity, dim1, theta.source_dim, 2, entries)
+
+
+def lift_linear_map(xi: Matrix, dim1: int, dim2: int) -> BiMap:
+    """xi: g -> V as a (1, 0) map into side 2 (a 1|-1 element)."""
+    entries = {}
+    for i in range(dim1):
+        for t in range(dim2):
+            entries[((i,), (), t)] = xi[t, i]
+    return BiMap.make(1, 0, dim1, dim2, 2, entries)
+
+
+def bidegree_of(f: Cochain, dim1: int, dim2: int) -> Bidegree | None:
+    """Detect the bidegree of a cochain on a split space, or None.
+
+    A map of arity k+l+1 has bidegree k|l when inputs with k+1 arguments
+    from side 1 and l from side 2 land in side 1, inputs with k and l+1
+    land in side 2, and everything else is killed.  Only the vanishing
+    pattern is inspected; nothing is inferred from how f was built.  The
+    zero map matches every bidegree and is reported as None.
+    """
+    if f.source_dim != dim1 + dim2 or f.target_dim != dim1 + dim2:
+        raise ValueError("split does not match the cochain's space")
+    if f.is_zero():
+        return None
+    r = f.arity - 1
+    for k in range(-1, r + 2):
+        l = r - k
+        if l < -1:
+            continue
+        if _has_bidegree(f, dim1, k, l):
+            return Bidegree(k, l)
+    return None
+
+
+def _has_bidegree(f: Cochain, dim1: int, k: int, l: int) -> bool:
+    for (subset, t), c in f.coeffs.items():
+        a = sum(1 for i in subset if i < dim1)
+        b = len(subset) - a
+        if t < dim1:
+            if (a, b) != (k + 1, l):
+                return False
+        else:
+            if (a, b) != (k, l + 1):
+                return False
+    return True
+
+
+def module_component(f: Cochain, dim1: int, dim2: int) -> Cochain:
+    """Read an (arity)|-1 cochain on the sum back as a map wedge^* g -> V.
+
+    Raises if f has entries outside that block.
+    """
+    coeffs = {}
+    for (subset, t), c in f.coeffs.items():
+        if any(i >= dim1 for i in subset) or t < dim1:
+            raise ValueError("cochain is not concentrated in the module block")
+        coeffs[(subset, t - dim1)] = c
+    return Cochain(f.arity, dim1, dim2, coeffs)
+
+
+# -- Chevalley-Eilenberg coboundary in the graded algebra --------------------------
+
+
+def ce_coboundary_nr(pi: Cochain, rho, f: Cochain) -> Cochain:
+    """`multilinear.ce_coboundary` computed as (-1)^{n-1}[pi^ + rho^, f^]_NR
+    through lifts to the direct sum; cross-checks the explicit sum."""
+    n = f.arity
+    sd, td = f.source_dim, f.target_dim
+    anchor = lift_endo_cochain(pi, td).lift() + lift_rep(rho, sd, td).lift()
+    bracket = nr_bracket(anchor, lift_module_cochain(f).lift())
+    signed = bracket if (n - 1) % 2 == 0 else bracket.scale(-1)
+    return module_component(signed, sd, td)
+
+
+def ce_adjoint(pi: Cochain, f: Cochain) -> Cochain:
+    """d^n_pi f = (-1)^{n-1}[pi, f]_NR, the adjoint-coefficient coboundary."""
+    b = nr_bracket(pi, f)
+    return b if (f.arity - 1) % 2 == 0 else b.scale(-1)
+
+
+# -- fraction-free elimination ---------------------------------------------------------
+
+
+def rank_bareiss(m: Matrix) -> int:
+    """Rank via integer fraction-free (Bareiss) elimination.
+
+    Independent of `Matrix.rref`: rows are cleared of denominators (which
+    preserves rank) and all pivoting is done in exact integer arithmetic.
+    """
+    a = []
+    for i in range(m.rows):
+        row = m.row(i)
+        mult = lcm(*(x.denominator for x in row)) if row else 1
+        a.append([int(x * mult) for x in row])
+    nrows, ncols = m.rows, m.cols
+    r = 0
+    prev = 1
+    for c in range(ncols):
+        if r == nrows:
+            break
+        p = next((i for i in range(r, nrows) if a[i][c] != 0), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        for i in range(r + 1, nrows):
+            for j in range(c + 1, ncols):
+                a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) // prev
+            a[i][c] = 0
+        prev = a[r][c]
+        r += 1
+    return r
+
+
+# -- extensions in the graded algebra of the direct sum ----------------------------------
+
+
+def _anchors(datum: ExtensionDatum):
+    """The lifted base and fibre brackets pi_i^ + theta_i^ of the direct
+    sum, whose graded brackets are the twisted differentials."""
+    g, h = datum.base, datum.fibre
+    n, m = g.dim, h.dim
+    a1 = (
+        lift_endo_cochain(g.bracket1.to_cochain(), m).lift()
+        + lift_side2_bracket(h.bracket1.to_cochain(), n).lift()
+    )
+    a2 = (
+        lift_endo_cochain(g.bracket2.to_cochain(), m).lift()
+        + lift_side2_bracket(h.bracket2.to_cochain(), n).lift()
+    )
+    return a1, a2
+
+
+def _mc_elements(datum: ExtensionDatum):
+    """The lifted Maurer-Cartan elements (rho^ + w1^, mu^ + w2^)."""
+    n, m = datum.base_dim, datum.fibre_dim
+    p1 = lift_rep(datum.rho, n, m).lift() + lift_module_cochain(datum.omega1).lift()
+    p2 = lift_rep(datum.mu, n, m).lift() + lift_module_cochain(datum.omega2).lift()
+    return p1, p2
+
+
+def lifted_maurer_cartan_verdict(datum: ExtensionDatum):
+    """The three Maurer-Cartan identities for (rho^ + w1^, mu^ + w2^),
+    twisted by the lifted anchors pi_i^ + theta_i^: the lifted route,
+    independent of the assembled brackets, kept as the reference for
+    `maurer_cartan_verdict`."""
+    a1, a2 = _anchors(datum)
+    p1, p2 = _mc_elements(datum)
+    half = Fraction(1, 2)
+    return first_failure(
+        [
+            ("mc-1", nr_bracket(a1, p1) + nr_bracket(p1, p1).scale(half)),
+            ("mc-2", nr_bracket(a2, p2) + nr_bracket(p2, p2).scale(half)),
+            ("mc-3", nr_bracket(a1, p2) + nr_bracket(a2, p1) + nr_bracket(p1, p2)),
+        ]
+    )
+
+
+def _split_mc_element(p: Cochain, n: int, m: int):
+    """Decompose a 1|0 + 2|-1 element back into action matrices and a
+    cochain; raises on entries outside those blocks."""
+    act_entries: dict[tuple[int, int, int], Fraction] = {}
+    w_entries = {}
+    for (subset, t), c in p.coeffs.items():
+        if t < n:
+            raise ValueError("element has a base-valued component")
+        g_part = [i for i in subset if i < n]
+        h_part = [i for i in subset if i >= n]
+        if len(g_part) == 2 and not h_part:
+            w_entries[(tuple(g_part), t - n)] = c
+        elif len(g_part) == 1 and len(h_part) == 1:
+            act_entries[(g_part[0], h_part[0] - n, t - n)] = c
+        else:
+            raise ValueError("element has entries outside the datum blocks")
+    mats = []
+    for i in range(n):
+        mats.append(
+            Matrix(
+                [
+                    [act_entries.get((i, a, b), Fraction(0)) for a in range(m)]
+                    for b in range(m)
+                ]
+            )
+        )
+    w = Cochain(2, n, m, w_entries)
+    return tuple(mats), w
+
+
+def gauge_transform_nr(datum: ExtensionDatum, xi: Matrix) -> ExtensionDatum:
+    """The gauge action computed in the graded algebra:
+
+        P_i' = P_i + [s^, act^] - d_i(s^) - (1/2)[s^, d_i(s^)]
+
+    with d_i = [anchor_i, -] and s = -xi.  Under the composition convention
+    fixed by the coboundary cross-checks, the exponential-formula parameter
+    is the negative of the xi appearing in the difference equations and the
+    section shift (gauge orbits are unaffected); the sign is pinned here so
+    that all three routes agree for the same xi.  Must agree with the
+    closed form."""
+    n, m = datum.base_dim, datum.fibre_dim
+    a1, a2 = _anchors(datum)
+    p1, p2 = _mc_elements(datum)
+    xi_hat = lift_linear_map(xi.scale(-1), n, m).lift()
+    rho_hat = lift_rep(datum.rho, n, m).lift()
+    mu_hat = lift_rep(datum.mu, n, m).lift()
+    half = Fraction(1, 2)
+
+    def one_side(p, act_hat, anchor):
+        d_xi = nr_bracket(anchor, xi_hat)
+        return (
+            p
+            + nr_bracket(xi_hat, act_hat)
+            - d_xi
+            - nr_bracket(xi_hat, d_xi).scale(half)
+        )
+
+    new1 = one_side(p1, rho_hat, a1)
+    new2 = one_side(p2, mu_hat, a2)
+    rho2, w12 = _split_mc_element(new1, n, m)
+    mu2, w22 = _split_mc_element(new2, n, m)
+    return ExtensionDatum(datum.base, datum.fibre, rho2, mu2, w12, w22)
+
+
+def gauge_transform_series(
+    datum: ExtensionDatum, xi: Matrix, terms: int = 4
+) -> ExtensionDatum:
+    """The exponential gauge formula
+
+        P' = e^{ad_xi} P - sum_k ad_xi^k/(k+1)!  d(xi)
+
+    to `terms` terms; the series truncates after the closed-form terms
+    because repeated brackets with xi drop out of the block grid.  The
+    parameter is negated as in `gauge_transform_nr`."""
+    n, m = datum.base_dim, datum.fibre_dim
+    a1, a2 = _anchors(datum)
+    p1, p2 = _mc_elements(datum)
+    xi_hat = lift_linear_map(xi.scale(-1), n, m).lift()
+
+    def one_side(p, anchor):
+        # e^{ad_xi} p
+        total = p
+        power = p
+        fact = Fraction(1)
+        for k in range(1, terms + 1):
+            power = nr_bracket(xi_hat, power)
+            fact = fact / k
+            total = total + power.scale(fact)
+        # (e^{ad_xi}-1)/ad_xi applied to d(xi): coefficients 1/(k+1)!
+        piece = nr_bracket(anchor, xi_hat)
+        for k in range(terms):
+            total = total - piece.scale(Fraction(1, factorial(k + 1)))
+            piece = nr_bracket(xi_hat, piece)
+        return total
+
+    rho2, w12 = _split_mc_element(one_side(p1, a1), n, m)
+    mu2, w22 = _split_mc_element(one_side(p2, a2), n, m)
+    return ExtensionDatum(datum.base, datum.fibre, rho2, mu2, w12, w22)
+
+
+def difference_equations_verdict(
+    datum: ExtensionDatum, other: ExtensionDatum, xi: Matrix
+) -> Verdict:
+    """The four difference equations between two data, each written out:
+
+        rho'(x) - rho(x) = ad_h(xi x)                          (iso-1; mu: iso-2)
+        w1'(x,y) - w1(x,y) = rho(x) xi(y) - rho(y) xi(x) - xi([x,y]_g)
+                             + [xi x, xi y]_h                  (iso-3; w2: iso-4)
+
+    at the first failing base index or pair; the reference for
+    `extensions_isomorphic_under`, which compares with `gauge_transform`."""
+    g, h = datum.base, datum.fibre
+    n, m = g.dim, h.dim
+    for law, act, act2, h_br in (
+        ("iso-1", datum.rho, other.rho, h.bracket1),
+        ("iso-2", datum.mu, other.mu, h.bracket2),
+    ):
+        ad = h_br.ad_matrices()
+        for i in range(n):
+            diff = act2[i] - act[i] - combination(ad, xi.column(i), m)
+            if not diff.is_zero():
+                flat = tuple(x for r in range(diff.rows) for x in diff.row(r))
+                return Verdict(False, Witness(law, (i + 1,), flat))
+    for law, act, w, w2, g_br, h_br in (
+        ("iso-3", datum.rho, datum.omega1, other.omega1, g.bracket1, h.bracket1),
+        ("iso-4", datum.mu, datum.omega2, other.omega2, g.bracket2, h.bracket2),
+    ):
+        for i in range(n):
+            for j in range(i + 1, n):
+                expected = vadd(
+                    vsub(act[i].matvec(xi.column(j)), act[j].matvec(xi.column(i))),
+                    vsub(
+                        h_br.bracket(xi.column(i), xi.column(j)),
+                        xi.matvec(g_br.bracket_basis(i, j)),
+                    ),
+                )
+                diff = vsub(vsub(w2.value((i, j)), w.value((i, j))), expected)
+                if not is_zero_vec(diff):
+                    return Verdict(False, Witness(law, (i + 1, j + 1), diff))
+    return OK
+
+
+def _gt_subsets(total: int, n: int, arity: int):
+    """Increasing subsets of the sum basis with at least one base index."""
+    return [
+        s
+        for s in combinations(range(total), arity)
+        if any(i < n for i in s)
+    ]
+
+
+def twisted_boundary_matrices(
+    g_pair: CompatiblePair, h_pair: CompatiblePair, arity: int
+) -> tuple[Matrix, Matrix]:
+    """Matrices of the two twisted differentials [anchor_i, -] on the space
+    of arity-`arity` cochains valued in the fibre that vanish on pure-fibre
+    inputs; closure of that space is checked (the subalgebra lemma)."""
+    n, m = g_pair.dim, h_pair.dim
+    total = n + m
+    datum0 = ExtensionDatum(
+        g_pair,
+        h_pair,
+        tuple(Matrix.zeros(m, m) for _ in range(n)),
+        tuple(Matrix.zeros(m, m) for _ in range(n)),
+        Cochain.zero(2, n, m),
+        Cochain.zero(2, n, m),
+    )
+    a1, a2 = _anchors(datum0)
+    dom = _gt_subsets(total, n, arity)
+    cod = _gt_subsets(total, n, arity + 1)
+    cod_index = {
+        (s, t): pos * m + k
+        for pos, s in enumerate(cod)
+        for k, t in enumerate(range(n, total))
+    }
+
+    def matrix_of(anchor):
+        cols = []
+        for s in dom:
+            for t in range(n, total):
+                e = Cochain(arity, total, total, {(s, t): 1})
+                d = nr_bracket(anchor, e)
+                col = [Fraction(0)] * (len(cod) * m)
+                for (subset, tt), c in d.coeffs.items():
+                    if tt < n or all(i >= n for i in subset):
+                        raise InternalCheckError(
+                            "twisted differential left the subcomplex"
+                        )
+                    col[cod_index[(subset, tt)]] = c
+                cols.append(tuple(col))
+        return Matrix.from_columns(cols, rows=len(cod) * m)
+
+    return matrix_of(a1), matrix_of(a2)

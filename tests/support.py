@@ -19,7 +19,7 @@ from compatlie.core import (
     validate_pair,
     validate_rep,
 )
-from compatlie.linalg import Matrix, kernel_basis
+from compatlie.linalg import Matrix
 from compatlie.multilinear import Cochain
 
 # -- catalog fixtures ------------------------------------------------------
@@ -185,7 +185,7 @@ def character_reps(pair: CompatiblePair, module_dim: int) -> list[RepPair]:
             rows.append(list(w2) + list(w1))
     if not rows:
         rows = [[Fraction(0)] * (2 * n)]
-    sol = kernel_basis(Matrix(rows))
+    sol = Matrix(rows).kernel_basis()
     reps = []
     for v in sol.vectors:
         chi1, chi2 = v[:n], v[n:]

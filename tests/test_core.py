@@ -1,5 +1,6 @@
 import ast
 import sys
+from collections import defaultdict
 from pathlib import Path
 from random import Random
 
@@ -193,6 +194,33 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_every_library_definition_is_used_or_exported():
+    # a top-level function or class is named in compatlie.__all__ or used by
+    # some library module outside its own body; second routes that only the
+    # tests call belong in tests/oracles.py
+    files = sorted(Path(compatlie.__file__).parent.glob("*.py"))
+    trees = {f.name: ast.parse(f.read_text(encoding="utf-8")) for f in files}
+    refs = defaultdict(list)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs[node.id].append(node)
+            elif isinstance(node, ast.Attribute):
+                refs[node.attr].append(node)
+    exported = set(compatlie.__all__)
+    unused = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            own = {id(n) for n in ast.walk(node)}
+            if node.name not in exported and all(
+                id(ref) in own for ref in refs[node.name]
+            ):
+                unused.append(f"{name}:{node.name}")
+    assert unused == []
 
 
 def test_library_imports_only_the_standard_library():

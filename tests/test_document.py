@@ -1,5 +1,6 @@
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -144,6 +145,16 @@ def test_non_ascii_digits_in_rationals_are_parse_errors():
         assert "malformed rational" in err.value.message
 
 
+def test_rep_without_dim_reports_the_rep_header_line():
+    with pytest.raises(ParseError) as err:
+        parse("[algebra]\ndim 2\n[pi1]\n1 2 2 1\n[rep]\n")
+    assert err.value.line == 5
+    assert "[rep] section is missing its dim" in err.value.message
+    with pytest.raises(ParseError) as err:
+        parse("[algebra]\ndim 2\n\n[rep]  # no dim\n\n[op N]\nrow: 1\n")
+    assert err.value.line == 4
+
+
 def test_operator_block_errors_report_the_header_line():
     with pytest.raises(ParseError) as err:
         parse("[algebra]\ndim 2\n\n[op N]\n[op M]\nrow: 1 0\n")
@@ -153,3 +164,50 @@ def test_operator_block_errors_report_the_header_line():
         parse("[algebra]\ndim 2\n[op N]\nrow: 1 0\nrow: 1\n")
     assert err.value.line == 3
     assert "ragged rows" in err.value.message
+
+
+# characters a mutation inserts or substitutes: the format's own syntax,
+# digits, and digits that str.isdigit or int() accept but the format refuses
+FUZZ_CHARS = "0123456789 \n\t#[]/+-:xrowdimu_²٣"
+
+
+def mutations(text: str, rng: Random, count: int):
+    """`count` seeded variants of `text`: truncations, and single-character
+    insertions, replacements and deletions."""
+    for _ in range(count):
+        kind = rng.randrange(4)
+        pos = rng.randrange(len(text) + 1)
+        if kind == 0:
+            yield text[:pos]
+        elif kind == 1:
+            yield text[:pos] + rng.choice(FUZZ_CHARS) + text[pos:]
+        elif kind == 2:
+            yield text[:pos] + rng.choice(FUZZ_CHARS) + text[pos + 1 :]
+        else:
+            yield text[:pos] + text[pos + 1 :]
+
+
+def test_mutated_fixtures_fail_only_with_parse_errors():
+    # a file either fails to parse with a ParseError, or every converter
+    # accepts it and rendering round-trips
+    rng = Random(97)
+    fixtures = sorted(DATA.glob("*.alg"))
+    assert len(fixtures) == 7
+    parsed = refused = 0
+    for path in fixtures:
+        for text in mutations(path.read_text(), rng, 450):
+            try:
+                doc = parse(text)
+            except ParseError:
+                refused += 1
+                continue
+            parsed += 1
+            doc.bracket1()
+            doc.bracket2()
+            doc.rep_pair()
+            for name, _ in doc.cochains:
+                doc.cochain(name)
+            for name, _ in doc.ops:
+                doc.op_matrix(name)
+            assert parse(render(doc)) == doc
+    assert parsed >= 500 and refused >= 500

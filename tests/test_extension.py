@@ -13,29 +13,30 @@ from compatlie.core import (
     Verdict,
     Witness,
     adjoint_rep,
-    first_failure,
     validate_pair,
     validate_rep,
 )
 from compatlie.extension import (
     ExtensionDatum,
     Section,
-    _anchors,
-    _mc_elements,
     assemble_brackets,
     build_extension,
     cocycles_cohomologous,
     extensions_isomorphic_under,
     extract_datum,
     gauge_transform,
-    gauge_transform_nr,
-    gauge_transform_series,
     maurer_cartan_verdict,
-    twisted_boundary_matrices,
     validate_extension_datum,
 )
 from compatlie.linalg import Matrix, is_zero_vec, vadd, vec, vscale, vsub
-from compatlie.multilinear import Cochain, nr_bracket
+from compatlie.multilinear import Cochain, ce_coboundary, nr_bracket
+from oracles import (
+    difference_equations_verdict,
+    gauge_transform_nr,
+    gauge_transform_series,
+    lifted_maurer_cartan_verdict,
+    twisted_boundary_matrices,
+)
 from support import (
     heisenberg3,
     n2,
@@ -218,23 +219,6 @@ def test_nine_equations_match_assembled_validation():
         seen_ok += nine.ok
         seen_bad += not nine.ok
     assert seen_ok >= 5 and seen_bad >= 5
-
-
-def lifted_maurer_cartan_verdict(datum):
-    """The three Maurer-Cartan identities for (rho^ + w1^, mu^ + w2^),
-    twisted by the lifted anchors pi_i^ + theta_i^: the lifted route,
-    independent of the assembled brackets, kept as the reference for
-    `maurer_cartan_verdict`."""
-    a1, a2 = _anchors(datum)
-    p1, p2 = _mc_elements(datum)
-    half = Fraction(1, 2)
-    return first_failure(
-        [
-            ("mc-1", nr_bracket(a1, p1) + nr_bracket(p1, p1).scale(half)),
-            ("mc-2", nr_bracket(a2, p2) + nr_bracket(p2, p2).scale(half)),
-            ("mc-3", nr_bracket(a1, p2) + nr_bracket(a2, p1) + nr_bracket(p1, p2)),
-        ]
-    )
 
 
 def test_maurer_cartan_path_matches_nine_equations():
@@ -713,8 +697,6 @@ def test_gauge_abelian_fibre_shifts_by_coboundary():
     datum = semidirect_n2_datum()
     xi = Matrix([[5, -2]])
     out = gauge_transform(datum, xi)
-    from compatlie.multilinear import ce_coboundary
-
     xi_c = Cochain.from_matrix(xi)
     d_xi = ce_coboundary(datum.base.bracket1.to_cochain(), datum.rho, xi_c)
     assert out.omega1 - datum.omega1 == d_xi
@@ -786,3 +768,35 @@ def test_isomorphic_under_detects_nontrivial_class():
     for xi_entries in ([[0, 0]], [[1, 0]], [[2, -1]]):
         v = extensions_isomorphic_under(datum, other, Matrix(xi_entries))
         assert not v.ok and v.witness.law == "iso-3"
+
+
+def test_isomorphism_witnesses_match_the_difference_equations():
+    # extensions_isomorphic_under compares with gauge_transform; the
+    # witness (law, tuple, value) must be the one the written-out
+    # difference equations give, for each of the four laws
+    rng = Random(229)
+    laws = set()
+    for t in range(60):
+        g = rand_compatible_pair(rng, rng.randint(2, 3))
+        h = rand_compatible_pair(rng, 2) if t % 3 else abelian(rng.randint(1, 2))
+        n, m = g.dim, h.dim
+        datum = gauge_transform(product_datum(g, h), rand_matrix(rng, m, n, -1, 1))
+        xi = rand_matrix(rng, m, n, -2, 2)
+        moved = gauge_transform(datum, xi)
+        rho, mu = list(moved.rho), list(moved.mu)
+        w1, w2 = moved.omega1, moved.omega2
+        bump = Cochain(2, n, m, {((0, n - 1), rng.randrange(m)): rng.choice([-1, 2])})
+        kind = t % 5
+        if kind == 1:
+            rho[rng.randrange(n)] = rand_matrix(rng, m, m, -1, 1)
+        elif kind == 2:
+            mu[rng.randrange(n)] = rand_matrix(rng, m, m, -1, 1)
+        elif kind == 3:
+            w1 = w1 + bump
+        elif kind == 4:
+            w2 = w2 + bump
+        other = ExtensionDatum(g, h, tuple(rho), tuple(mu), w1, w2)
+        expected = difference_equations_verdict(datum, other, xi)
+        assert extensions_isomorphic_under(datum, other, xi) == expected
+        laws.add(expected.witness.law if expected.witness else "ok")
+    assert laws == {"ok", "iso-1", "iso-2", "iso-3", "iso-4"}

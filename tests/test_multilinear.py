@@ -1,95 +1,28 @@
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import permutations
 from random import Random
 
 from compatlie.core import LieBracket, adjoint_rep, CompatiblePair
-from compatlie.linalg import Matrix, is_zero_vec, vadd, vec, vscale, vzero
-from compatlie.multilinear import (
+from compatlie.linalg import Matrix, vec, vzero
+from compatlie.multilinear import Cochain, ce_coboundary, nr_bracket, nr_compose
+from oracles import (
     Bidegree,
     BiMap,
-    Cochain,
     bidegree_of,
     ce_adjoint,
-    ce_coboundary,
     ce_coboundary_nr,
+    eval_vectors_index_expansion,
     lift_endo_cochain,
     lift_linear_map,
     lift_module_cochain,
     lift_rep,
     lift_side2_bracket,
     module_component,
-    nr_bracket,
-    nr_compose,
+    nr_compose_unshuffle_sum,
+    perm_sign,
+    unshuffles,
 )
 from support import n2, rand_cochain, rand_compatible_pair, rand_rep, sl2
-
-
-# -- reference route: the unshuffle sum --------------------------------------
-
-
-def perm_sign(word) -> int:
-    """Sign of a permutation given as a sequence of distinct values."""
-    inv = sum(
-        1
-        for i in range(len(word))
-        for j in range(i + 1, len(word))
-        if word[i] > word[j]
-    )
-    return -1 if inv % 2 else 1
-
-
-def unshuffles(i: int, n: int) -> list:
-    """All (i, n-i)-unshuffles of {0..n-1} with their signs.
-
-    A permutation s is an (i, n-i)-unshuffle when s(1) < .. < s(i) and
-    s(i+1) < .. < s(n); it is determined by the first block, so the list is
-    generated by choosing the block (length C(n, i)), never by filtering all
-    n! permutations.  Each entry is (s(1)..s(n)) as a tuple with its sign.
-    For i = 0 or i = n only the identity occurs.
-    """
-    if not 0 <= i <= n:
-        raise ValueError(f"need 0 <= i <= n, got ({i}, {n})")
-    out = []
-    for first in combinations(range(n), i):
-        chosen = set(first)
-        rest = tuple(k for k in range(n) if k not in chosen)
-        word = first + rest
-        out.append((word, perm_sign(word)))
-    return out
-
-
-def nr_compose_unshuffle_sum(p: Cochain, q: Cochain) -> Cochain:
-    """P . Q by the defining sum over every subset and every unshuffle,
-    with dense target vectors: the reference for the scatter."""
-    n = p.source_dim
-    if p.arity == 0:
-        return Cochain.zero(max(q.arity - 1, 0), n, n)
-    r = p.arity + q.arity - 1
-    sh = unshuffles(q.arity, r)
-    values = {}
-    for subset in combinations(range(n), r):
-        total = vzero(n)
-        for word, sign in sh:
-            inner = tuple(subset[word[t]] for t in range(q.arity))
-            outer = tuple(subset[word[t]] for t in range(q.arity, r))
-            w = q.value(inner)  # inner is increasing: direct lookup
-            if is_zero_vec(w):
-                continue
-            total = vadd(total, vscale(sign, p.eval_vector_first(w, outer)))
-        values[subset] = total
-    return Cochain.from_values(r, n, n, values)
-
-
-def eval_vectors_index_expansion(f: Cochain, vectors) -> tuple:
-    """f on vectors by the sum over every index tuple: the reference for
-    the nonzero-coordinate evaluation."""
-    out = vzero(f.target_dim)
-    for idx in product(*(range(len(v)) for v in vectors)):
-        c = Fraction(1)
-        for v, i in zip(vectors, idx):
-            c *= v[i]
-        out = vadd(out, vscale(c, f.eval_indices(idx)))
-    return out
 
 
 def brute_unshuffles(i, n):

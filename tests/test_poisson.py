@@ -2,11 +2,21 @@ from fractions import Fraction
 from math import comb
 from random import Random
 
+import pytest
+
 from compatlie.cohomology import reduced_cohomology_dims
-from compatlie.core import CompatiblePair, LieBracket, adjoint_rep, validate_rep
+from compatlie.core import (
+    CompatiblePair,
+    InternalCheckError,
+    LieBracket,
+    RepPair,
+    adjoint_rep,
+    validate_rep,
+)
 from compatlie.linalg import Matrix
 from compatlie.poisson import (
     PolyBasis,
+    PolyRep,
     degree_block,
     lie_poisson_rep,
     reduced_bihamiltonian_dims,
@@ -67,6 +77,23 @@ def test_degree_blocks_are_reps_and_degree_preserved():
         block = degree_block(poly, d)
         assert validate_rep(pair, block).ok
         assert block.module_dim == comb(3 + d - 1, d) if d > 0 else 1
+
+
+def test_off_block_entry_is_an_internal_error():
+    # the action preserves degree by construction, so an entry linking the
+    # constant (index 0) and a degree-1 monomial (index 1) is a bug, never
+    # bad input: it must not surface as a ValueError, which the CLI reports
+    # as a usage error
+    poly = lie_poisson_rep(n2_zero_pair(), 1)
+    rho0 = poly.rep.rho[0]
+    rows = [list(rho0.row(r)) for r in range(rho0.rows)]
+    rows[1][0] = Fraction(1)
+    rho = (Matrix(rows),) + poly.rep.rho[1:]
+    broken = PolyRep(poly.basis, RepPair(poly.rep.module_dim, rho, poly.rep.mu))
+    for d in (0, 1):
+        degree_block(poly, d)
+        with pytest.raises(InternalCheckError):
+            degree_block(broken, d)
 
 
 def test_degree1_block_equals_adjoint():
