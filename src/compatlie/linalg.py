@@ -1,20 +1,25 @@
 """Exact rational linear algebra.
 
-Every scalar is a ``fractions.Fraction`` (arbitrary precision, kept in
-canonical form by the stdlib), so ranks, kernels and membership tests are
-exact; no rounding ever occurs.  The ground field of the theory is an
-algebraically closed field of characteristic 0, but every operation in this
-package (brackets, coboundaries, ranks) is rational-linear in the structure
-constants, so working over the rationals loses nothing.
+Every scalar at every interface is a ``fractions.Fraction`` (arbitrary
+precision, kept in canonical form by the stdlib), so ranks, kernels and
+membership tests are exact; no rounding ever occurs.  The ground field of
+the theory is an algebraically closed field of characteristic 0, but every
+operation in this package (brackets, coboundaries, ranks) is rational-linear
+in the structure constants, so working over the rationals loses nothing.
 
 Every rank, kernel, image, solve and basis completion comes from one
-rational Gauss-Jordan elimination, `Matrix.rref`.
+reduced row echelon form, `Matrix.rref`.  Its elimination runs on integer
+rows (each row cleared of denominators and kept primitive, fraction-free
+Gauss-Jordan in the manner of Bareiss), and the Fractions of the result are
+built once at the end; the rational Gauss-Jordan it replaced is the test
+reference (`tests/oracles.py`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 Vec = tuple[Fraction, ...]
 
@@ -47,6 +52,18 @@ def vscale(c, a: Vec) -> Vec:
 
 def is_zero_vec(a: Vec) -> bool:
     return all(x == 0 for x in a)
+
+
+def _cleared(row: Vec) -> list[int]:
+    """The row times the lcm of its denominators, as integers."""
+    m = lcm(*(x.denominator for x in row))
+    return [x.numerator * (m // x.denominator) for x in row]
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """The integer row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
 
 
 class Matrix:
@@ -181,27 +198,41 @@ class Matrix:
         return f"Matrix[{self.rows}x{self.cols}: {body}]"
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        """Reduced row echelon form and the pivot column indices."""
-        a = [list(r) for r in self._a]
+        """Reduced row echelon form and the pivot column indices.
+
+        Gauss-Jordan on integer rows, fraction-free: each row is scaled by
+        the lcm of its denominators, the pivot row r clears column c from
+        every other row i by row_i = pv * row_i - f * row_r, and every row
+        is kept primitive (its entries divided by their gcd).  Scaling rows
+        leaves the RREF unchanged, and the RREF over Q is unique, so the
+        Fractions built at the end are those of a rational elimination."""
+        a = [_primitive(_cleared(row)) for row in self._a]
         pivots = []
         r = 0
         for c in range(self.cols):
             if r == self.rows:
                 break
-            p = next((i for i in range(r, self.rows) if a[i][c] != 0), None)
+            p = next((i for i in range(r, self.rows) if a[i][c]), None)
             if p is None:
                 continue
             a[r], a[p] = a[p], a[r]
-            inv = 1 / a[r][c]
-            a[r] = [x * inv for x in a[r]]
+            top = a[r]
+            pv = top[c]
             for i in range(self.rows):
-                if i != r and a[i][c] != 0:
-                    f = a[i][c]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                f = a[i][c]
+                if i != r and f:
+                    g = gcd(pv, f)
+                    s, t = pv // g, f // g
+                    a[i] = _primitive([s * x - t * y for x, y in zip(a[i], top)])
             pivots.append(c)
             r += 1
-        red = Matrix._raw(tuple(tuple(row) for row in a), self.rows, self.cols)
-        return red, tuple(pivots)
+        # rows r.. are zero now; each pivot row is divided by its pivot
+        zero = Fraction(0)
+        red = tuple(
+            tuple(Fraction(x, row[c]) if x else zero for x in row)
+            for row, c in zip(a, pivots)
+        ) + ((zero,) * self.cols,) * (self.rows - r)
+        return Matrix._raw(red, self.rows, self.cols), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])

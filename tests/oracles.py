@@ -6,8 +6,9 @@ direct sum: lifts with bidegrees, the Nijenhuis-Richardson form of the
 coboundaries, the Maurer-Cartan elements of an extension, the twisted
 differentials and the gauge exponential.  Those descriptions live here,
 with the defining sums the sparse kernels replaced (unshuffles, evaluation
-on every index tuple) and a fraction-free elimination.  Nothing in
-`compatlie` imports this module.
+on every index tuple), the rational Gauss-Jordan the integer `Matrix.rref`
+replaced, and a fraction-free (Bareiss) rank.  Nothing in `compatlie`
+imports this module.
 """
 
 from dataclasses import dataclass
@@ -262,7 +263,35 @@ def ce_adjoint(pi: Cochain, f: Cochain) -> Cochain:
     return b if (f.arity - 1) % 2 == 0 else b.scale(-1)
 
 
-# -- fraction-free elimination ---------------------------------------------------------
+# -- elimination ------------------------------------------------------------------
+
+
+def rref_fraction(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """Reduced row echelon form and pivots by Gauss-Jordan on Fractions.
+
+    The same pivot search as `Matrix.rref`, with every row scaled to a
+    leading 1 and every update done in rational arithmetic.
+    """
+    a = [list(m.row(i)) for i in range(m.rows)]
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        if r == m.rows:
+            break
+        p = next((i for i in range(r, m.rows) if a[i][c] != 0), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(m.rows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    red = Matrix._raw(tuple(tuple(row) for row in a), m.rows, m.cols)
+    return red, tuple(pivots)
 
 
 def rank_bareiss(m: Matrix) -> int:

@@ -56,8 +56,8 @@ def catalog(dim: int) -> list[LieBracket]:
         for b in base:
             if b.dim == 3:
                 out.append(_pad(b, 4))
-        out.append(_direct_sum(n2(), LieBracket.zero(2)))
-        out.append(_direct_sum(n2(), n2()))
+        out.append(direct_sum(n2(), LieBracket.zero(2)))
+        out.append(direct_sum(n2(), n2()))
         return out
     raise ValueError(dim)
 
@@ -67,7 +67,7 @@ def _pad(b: LieBracket, dim: int) -> LieBracket:
     return LieBracket(dim, {(i, j, k): c for (i, j, k), c in entries.items()})
 
 
-def _direct_sum(a: LieBracket, b: LieBracket) -> LieBracket:
+def direct_sum(a: LieBracket, b: LieBracket) -> LieBracket:
     n = a.dim
     entries = {key: c for key, c in a.entries()}
     for (i, j, k), c in b.entries():

@@ -24,7 +24,7 @@ from compatlie.linalg import Matrix, SubspaceBasis, vec
 from compatlie.multilinear import Cochain, ce_coboundary
 from compatlie.poisson import degree_block, lie_poisson_rep
 from oracles import ce_adjoint, rank_bareiss
-from support import n2, rand_compatible_pair, rand_invertible, rand_rep, sl2
+from support import direct_sum, n2, rand_compatible_pair, rand_invertible, rand_rep, sl2
 
 
 def tuple_space_dim(degree, dim, module_dim):
@@ -531,3 +531,19 @@ def test_euler_characteristic_of_complete_tables():
                 spaces = sum((-1) ** n * space for n, (space, _) in enumerate(table))
                 hs = sum((-1) ** n * h for n, (_, h) in enumerate(table))
                 assert spaces == hs
+
+
+def test_dense_dim5_table_equals_the_catalog_table():
+    # sl2 + n2 paired with itself, before and after a random change of basis
+    # in GL(5, Q): the dense kernels reach 55-bit numerators
+    s = direct_sum(sl2(), n2())
+    pair = CompatiblePair(s, s)
+    moved = pair.conjugate(rand_invertible(Random(3), 5))
+    assert moved != pair
+    expected = [(5, 0), (25, 0), (100, 20), (150, 30), (100, 20), (25, 5)]
+    assert h_table(pair) == expected
+    table = h_table(moved)
+    assert table == expected
+    spaces = sum((-1) ** n * space for n, (space, _) in enumerate(table))
+    hs = sum((-1) ** n * h for n, (_, h) in enumerate(table))
+    assert spaces == hs

@@ -3,6 +3,8 @@ from random import Random
 
 import pytest
 
+from compatlie.cohomology import coboundary_matrix
+from compatlie.core import CompatiblePair
 from compatlie.linalg import (
     Matrix,
     SubspaceBasis,
@@ -10,7 +12,8 @@ from compatlie.linalg import (
     in_span,
     vec,
 )
-from oracles import rank_bareiss
+from oracles import rank_bareiss, rref_fraction
+from support import direct_sum, n2, rand_compatible_pair, rand_invertible, rand_matrix
 
 
 def test_rank_identity_and_zero():
@@ -224,3 +227,92 @@ def test_matvec_equals_dense_sum_formula():
     assert Matrix([[1, 2], [0, 3]]).matvec([1, 1]) == (Fraction(3), Fraction(3))
     with pytest.raises(ValueError):
         Matrix.zeros(2, 3).matvec(vec([1, 2]))
+
+
+# -- the integer elimination against the rational Gauss-Jordan ----------------
+
+
+def mixed_denominators(rng, rows, cols):
+    return Matrix(
+        [
+            [
+                Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7, 12)))
+                for _ in range(cols)
+            ]
+            for _ in range(rows)
+        ]
+    )
+
+
+def rref_cases():
+    rng = Random(89)
+    cases = [Matrix.zeros(0, k) for k in (0, 1, 4)]
+    cases += [Matrix.zeros(k, 0) for k in (1, 4)]
+    cases += [Matrix.zeros(3, 5), Matrix.zeros(1, 1)]
+    for _ in range(60):
+        cases.append(rand_matrix(rng, rng.randint(1, 7), rng.randint(1, 7)))
+        cases.append(mixed_denominators(rng, rng.randint(1, 7), rng.randint(1, 7)))
+    # rank-deficient products, with repeated and zero rows among them
+    for _ in range(40):
+        rows, inner, cols = rng.randint(2, 8), rng.randint(1, 3), rng.randint(2, 8)
+        m = rand_matrix(rng, rows, inner) * mixed_denominators(rng, inner, cols)
+        a = [list(m.row(i)) for i in range(rows)]
+        a[rng.randrange(rows)] = list(a[rng.randrange(rows)])
+        a[rng.randrange(rows)] = [0] * cols
+        cases.append(Matrix(a))
+    # negative pivots: no entry is positive, so the first pivot is negative
+    for _ in range(20):
+        m = mixed_denominators(rng, rng.randint(1, 6), rng.randint(1, 6))
+        cases.append(Matrix([[-abs(x) for x in m.row(i)] for i in range(m.rows)]))
+    # entries near 2^80 beside small ones
+    def near_2_80():
+        if rng.random() < 0.5:
+            return Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+        sign = rng.choice((-1, 1))
+        return Fraction(sign * (2**80 + rng.randint(-9, 9)), rng.choice((1, 3)))
+
+    for _ in range(20):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        cases.append(Matrix([[near_2_80() for _ in range(cols)] for _ in range(rows)]))
+    # degree-2 and degree-3 staircase slices after a change of basis in
+    # GL(4, Q): n2 + n2 paired with itself, and random pairs (which the
+    # generator conjugates as well)
+    n2n2 = direct_sum(n2(), n2())
+    pairs = [CompatiblePair(n2n2, n2n2).conjugate(rand_invertible(Random(3), 4))]
+    pairs += [rand_compatible_pair(Random(seed), 4) for seed in (3, 4)]
+    for pair in pairs:
+        cases += [coboundary_matrix(pair, None, n).matrix for n in (2, 3)]
+    return cases
+
+
+def test_rref_kernel_and_solve_equal_the_rational_gauss_jordan():
+    rng = Random(97)
+    for m in rref_cases():
+        red, pivots = m.rref()
+        expected_red, expected_pivots = rref_fraction(m)
+        assert pivots == expected_pivots
+        assert len(pivots) == rank_bareiss(m)
+        assert red == expected_red and red.shape() == m.shape()
+        assert all(type(x) is Fraction for i in range(m.rows) for x in red.row(i))
+        # the kernel basis is the unique one that is 1 at its own free
+        # column and 0 at the others
+        free = [c for c in range(m.cols) if c not in expected_pivots]
+        kernel = m.kernel_basis()
+        assert len(kernel) == len(free)
+        for f, v in zip(free, kernel.vectors):
+            assert [v[c] for c in free] == [int(c == f) for c in free]
+            assert not any(m.matvec(v))
+        # solve: a right-hand side in the image and one off it (when the
+        # image is not everything), checked against the augmented oracle
+        inside = m.matvec(vec(rng.randint(-3, 3) for _ in range(m.cols)))
+        outside = vec(rng.randint(-3, 3) for _ in range(m.rows))
+        for b in (inside, outside):
+            aug = Matrix._raw(
+                tuple(m.row(i) + (x,) for i, x in enumerate(b)), m.rows, m.cols + 1
+            )
+            consistent = m.cols not in rref_fraction(aug)[1]
+            x = m.solve(b)
+            assert (x is not None) == consistent
+            if x is not None:
+                assert m.matvec(x) == b
+                assert all(x[c] == 0 for c in free)
