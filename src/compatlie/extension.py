@@ -399,9 +399,7 @@ def extensions_isomorphic_under(
     then the cochains (iso-3, iso-4) at the first base pair.  When all hold,
     the map (x, u) -> (x, -xi(x) + u) is verified to intertwine the two
     built extensions (both brackets, all basis pairs)."""
-    g, h = datum.base, datum.fibre
-    n, m = g.dim, h.dim
-    if (other.base, other.fibre) != (g, h):
+    if (other.base, other.fibre) != (datum.base, datum.fibre):
         raise ValueError("data must extend the same base by the same fibre")
     moved = gauge_transform(datum, xi)
     for law, acts, acts2 in (
@@ -420,9 +418,19 @@ def extensions_isomorphic_under(
     )
     if not v:
         return v
-    # explicit isomorphism check between the built extensions
+    return _theta_intertwines(datum, other, xi)
+
+
+def _theta_intertwines(
+    datum: ExtensionDatum, moved: ExtensionDatum, xi: Matrix
+) -> Verdict:
+    """OK once theta: (x, u) -> (x, -xi(x) + u) is verified to intertwine
+    the extensions built from `datum` and from its gauge transform `moved`
+    (both brackets, all basis pairs); a failure is an `InternalCheckError`.
+    `cli` calls it directly on the transform it has already computed."""
+    n, m = datum.base_dim, datum.fibre_dim
     e1 = assemble_brackets(datum)
-    e2 = assemble_brackets(other)
+    e2 = assemble_brackets(moved)
     big = n + m
     theta_cols = []
     for i in range(n):

@@ -12,23 +12,29 @@ The graded Lie structure: a cochain of arity p+1 has degree p, and
     (P . Q)(x_1..x_{p+q+1}) = sum, over every (q+1, p)-unshuffle s, of
         sign(s) P(Q(x_{s(1)}..x_{s(q+1)}), x_{s(q+2)}..x_{s(p+q+1)}).
 
-`nr_compose` evaluates this sum as a scatter over the stored nonzeros.
-The bracket is implemented for endomorphism-valued cochains only.  Module
-coefficients enter the library through the Chevalley-Eilenberg arm matrices
-of `cohomology.ce_matrix`; `ce_coboundary` is the per-subset sum they are
-tested against.  The lifts to a direct sum that carry module cochains into
-the bracket are test references (`tests/oracles.py`).
+`nr_compose` evaluates this sum as a scatter over the stored nonzeros, on
+integer numerators: each operand is cleared of denominators once, and the
+Fractions of the result are built once at the end (the rational scatter is
+the test oracle `nr_compose_fraction`).  The bracket is implemented for
+endomorphism-valued cochains only.  Module coefficients enter the library
+through the Chevalley-Eilenberg arm matrices of `cohomology.ce_matrix`;
+`ce_coboundary` is the per-subset sum they are tested against.  The lifts
+to a direct sum that carry module cochains into the bracket are test
+references (`tests/oracles.py`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, prod
+from math import comb, lcm, prod
 
 from .linalg import Matrix, Vec, frac, is_zero_vec, vadd, vscale, vzero
 
 Subset = tuple[int, ...]
+
+# `nr_compose`'s marker for a sort not yet looked up (None is an overlap)
+_UNSORTED = object()
 
 
 def sort_with_sign(indices) -> tuple[Subset, int] | None:
@@ -78,6 +84,15 @@ class Cochain:
         self.coeffs = table
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _raw(cls, arity: int, source_dim: int, target_dim: int, coeffs) -> "Cochain":
+        # internal: a finished table of increasing in-range subsets and
+        # nonzero Fractions, stored as given without re-validation
+        f = cls.__new__(cls)
+        f.arity, f.source_dim, f.target_dim = arity, source_dim, target_dim
+        f.coeffs = coeffs
+        return f
 
     @classmethod
     def zero(cls, arity: int, source_dim: int, target_dim: int) -> "Cochain":
@@ -247,7 +262,11 @@ def nr_compose(p: Cochain, q: Cochain) -> Cochain:
     """P . Q as a scatter over the stored nonzeros; endomorphism-valued
     cochains only.  Each entry (J, t, d) of P is filed under every slot k of
     J as (O, t, (-1)^pos_J(k) d), O = J minus k; each entry (I, k, c) of Q
-    meets those filed under k, signed by sorting I u O (overlaps vanish)."""
+    meets those filed under k, signed by sorting I u O (overlaps vanish).
+
+    The scatter runs on integers: P and Q are scaled once by the lcm of
+    their denominators, L_p and L_q, and each sum v becomes v / (L_p L_q),
+    so the result is that of a rational scatter, entry for entry."""
     for f in (p, q):
         if f.source_dim != f.target_dim:
             raise ValueError("nr_compose needs endomorphism-valued cochains")
@@ -257,22 +276,32 @@ def nr_compose(p: Cochain, q: Cochain) -> Cochain:
     if p.arity == 0:
         # no slot to plug Q into; the composition is identically zero
         return Cochain.zero(max(q.arity - 1, 0), n, n)
+    lp = lcm(*(d.denominator for d in p.coeffs.values()))
+    lq = lcm(*(c.denominator for c in q.coeffs.values()))
     filed: dict[int, list] = {}
     for (subset, t), d in p.coeffs.items():
+        d = d.numerator * (lp // d.denominator)
         for pos, k in enumerate(subset):
             rest = subset[:pos] + subset[pos + 1 :]
             filed.setdefault(k, []).append((rest, t, -d if pos % 2 else d))
-    table: dict[tuple[Subset, int], Fraction] = {}
+    # sort_with_sign(inner + outer) per (inner, outer); None marks an overlap
+    sorts: dict = {}
+    table: dict[tuple[Subset, int], int] = {}
     for (inner, k), c in q.coeffs.items():
+        c = c.numerator * (lq // c.denominator)
         for outer, t, d in filed.get(k, ()):
-            ss = sort_with_sign(inner + outer)
+            ss = sorts.get((inner, outer), _UNSORTED)
+            if ss is _UNSORTED:
+                ss = sorts[inner, outer] = sort_with_sign(inner + outer)
             if ss is None:
                 continue
             subset, sign = ss
-            prev = table.get((subset, t), Fraction(0))
-            table[(subset, t)] = prev + c * d if sign == 1 else prev - c * d
+            key = (subset, t)
+            table[key] = table.get(key, 0) + (c * d if sign == 1 else -c * d)
     # lexicographic storage order, as every other constructor gives
-    return Cochain(p.arity + q.arity - 1, n, n, dict(sorted(table.items())))
+    scale = lp * lq
+    coeffs = {key: Fraction(v, scale) for key, v in sorted(table.items()) if v}
+    return Cochain._raw(p.arity + q.arity - 1, n, n, coeffs)
 
 
 def nr_bracket(p: Cochain, q: Cochain) -> Cochain:

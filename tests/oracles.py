@@ -6,8 +6,9 @@ direct sum: lifts with bidegrees, the Nijenhuis-Richardson form of the
 coboundaries, the Maurer-Cartan elements of an extension, the twisted
 differentials and the gauge exponential.  Those descriptions live here,
 with the defining sums the sparse kernels replaced (unshuffles, evaluation
-on every index tuple), the rational Gauss-Jordan the integer `Matrix.rref`
-replaced, and a fraction-free (Bareiss) rank.  Nothing in `compatlie`
+on every index tuple), the rational scatter the integer `nr_compose`
+replaced, the rational Gauss-Jordan the integer `Matrix.rref` replaced, and
+a fraction-free (Bareiss) rank.  Nothing in `compatlie`
 imports this module.
 """
 
@@ -27,7 +28,7 @@ from compatlie.core import (
 )
 from compatlie.extension import ExtensionDatum
 from compatlie.linalg import Matrix, frac, is_zero_vec, vadd, vscale, vsub, vzero
-from compatlie.multilinear import Cochain, nr_bracket
+from compatlie.multilinear import Cochain, nr_bracket, sort_with_sign
 
 # -- permutations and the defining sums ------------------------------------------
 
@@ -83,6 +84,37 @@ def nr_compose_unshuffle_sum(p: Cochain, q: Cochain) -> Cochain:
             total = vadd(total, vscale(sign, p.eval_vector_first(w, outer)))
         values[subset] = total
     return Cochain.from_values(r, n, n, values)
+
+
+def nr_compose_fraction(p: Cochain, q: Cochain) -> Cochain:
+    """P . Q as the scatter over the stored nonzeros on Fractions, sorting
+    each I u O afresh and re-validating the finished table: the reference
+    for the integer scatter of `nr_compose`."""
+    for f in (p, q):
+        if f.source_dim != f.target_dim:
+            raise ValueError("nr_compose needs endomorphism-valued cochains")
+    if p.source_dim != q.source_dim:
+        raise ValueError("dimension mismatch")
+    n = p.source_dim
+    if p.arity == 0:
+        # no slot to plug Q into; the composition is identically zero
+        return Cochain.zero(max(q.arity - 1, 0), n, n)
+    filed: dict[int, list] = {}
+    for (subset, t), d in p.coeffs.items():
+        for pos, k in enumerate(subset):
+            rest = subset[:pos] + subset[pos + 1 :]
+            filed.setdefault(k, []).append((rest, t, -d if pos % 2 else d))
+    table: dict = {}
+    for (inner, k), c in q.coeffs.items():
+        for outer, t, d in filed.get(k, ()):
+            ss = sort_with_sign(inner + outer)
+            if ss is None:
+                continue
+            subset, sign = ss
+            prev = table.get((subset, t), Fraction(0))
+            table[(subset, t)] = prev + c * d if sign == 1 else prev - c * d
+    # lexicographic storage order, as every other constructor gives
+    return Cochain(p.arity + q.arity - 1, n, n, dict(sorted(table.items())))
 
 
 def eval_vectors_index_expansion(f: Cochain, vectors) -> tuple:

@@ -3,7 +3,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from compatlie import cohomology, poisson
+from compatlie import cli, cohomology, extension, poisson
 from compatlie.cli import main
 from compatlie.core import InternalCheckError
 from compatlie.extension import ExtensionDatum
@@ -406,6 +406,57 @@ def test_extend_builds_each_datums_jacobiators_once(capsys, monkeypatch):
         assert run(capsys, *argv)[0] == 0
         assert len(builds) == 2 and builds[0] is not builds[1], argv
         assert builds[0] != builds[1], argv  # the gauge moved the datum
+
+
+def test_extend_xi_transforms_once(capsys, monkeypatch):
+    # the isomorphism verdict checks theta on the transform the report's
+    # gauge tables come from, without transforming a second time
+    monkeypatch.chdir(DATA)
+    calls = []
+    transform = extension.gauge_transform
+
+    def counted(datum, xi):
+        calls.append(xi)
+        return transform(datum, xi)
+
+    monkeypatch.setattr(extension, "gauge_transform", counted)
+    monkeypatch.setattr(cli, "gauge_transform", counted)
+    xi_runs = [argv for argv in VERDICT_DIGESTS if "--xi" in argv]
+    assert len(xi_runs) == 2
+    for argv in xi_runs:
+        calls.clear()
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0, argv
+        assert len(calls) == 1, argv
+        verdicts = {v["name"]: v["ok"] for v in json.loads(out)["verdicts"]}
+        assert verdicts["isomorphic-under-xi"], argv
+
+
+def test_repeated_main_calls_share_one_parser_and_no_state(capsys, monkeypatch):
+    builds = []
+    build = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        path = DATA / "sl2_pair.alg"
+        code, out, _ = run(capsys, "check", path, "--seed", "5", "--format", "json")
+        assert code == 0 and json.loads(out)["options"] == {"seed": 5}
+        code, out, _ = run(capsys, "check", path, "--format", "json")
+        assert code == 0 and json.loads(out)["options"] == {}
+        code, out, _ = run(capsys, "--help")
+        assert code == 0 and "usage: compatlie" in out
+        code, _, err = run(capsys, "check", path, "--no-such-flag")
+        assert code == 2 and "unrecognized arguments" in err
+        code, out, _ = run(capsys, "check", path, "--format", "json")
+        assert code == 0 and json.loads(out)["options"] == {}
+        assert len(builds) == 1
+    finally:
+        cli._parser.cache_clear()
 
 
 def test_each_table_builds_each_arm_once(capsys, monkeypatch):

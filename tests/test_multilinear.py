@@ -18,11 +18,21 @@ from oracles import (
     lift_rep,
     lift_side2_bracket,
     module_component,
+    nr_compose_fraction,
     nr_compose_unshuffle_sum,
     perm_sign,
     unshuffles,
 )
-from support import n2, rand_cochain, rand_compatible_pair, rand_rep, sl2
+from support import (
+    direct_sum,
+    heisenberg3,
+    n2,
+    rand_cochain,
+    rand_compatible_pair,
+    rand_invertible,
+    rand_rep,
+    sl2,
+)
 
 
 def brute_unshuffles(i, n):
@@ -91,6 +101,61 @@ def test_nr_compose_zero_and_arity_zero_cases():
     assert nr_compose(v, pi) == Cochain.zero(1, 2, 2)
     assert nr_compose(pi, v) == Cochain(1, 2, 2, {((0,), 1): -2, ((1,), 1): 1})
     assert nr_compose(pi, v) == nr_compose_unshuffle_sum(pi, v)
+
+
+def test_nr_compose_equals_the_fraction_scatter():
+    # equal cochains with equal storage order, Fraction values and no
+    # stored zero, against the rational scatter the integer one replaced
+    def same(p, q):
+        got, want = nr_compose(p, q), nr_compose_fraction(p, q)
+        assert got == want
+        assert list(got.coeffs.items()) == list(want.coeffs.items())
+        assert all(type(c) is Fraction and c for c in got.coeffs.values())
+        return got
+
+    rng = Random(61)
+    big = 2**80
+    for _ in range(150):
+        # dims up to 8, the size of an assembled extension; arity 0 on
+        # either side; denominators 1..6 mixed within one cochain
+        dim = rng.randint(1, 8)
+        top = 3 if dim <= 5 else 2
+        a, b = rng.randint(0, top), rng.randint(0, top)
+        density = rng.choice((0.2, 0.6, 1.0))
+        p = rand_cochain(rng, a, dim, density=density)
+        q = rand_cochain(rng, b, dim, density=density)
+        p = Cochain(
+            a, dim, dim, {key: c / rng.randint(1, 6) for key, c in p.coeffs.items()}
+        )
+        same(p, q)
+        same(q, p)
+        same(p, p)  # p is q
+        same(p, Cochain.zero(b, dim, dim))
+        same(Cochain.zero(a, dim, dim), q)
+        # entries near 2^80, with denominators of the same size
+        huge = Cochain(
+            a,
+            dim,
+            dim,
+            {
+                key: Fraction(big + rng.randint(-9, 9), big - rng.randint(1, 9)) * c
+                for key, c in p.coeffs.items()
+            },
+        )
+        same(huge, q)
+        same(q, huge)
+    # a Lie bracket composed with itself is its Jacobiator, zero: every
+    # scattered term cancels, dense in a GL(6)-conjugated basis
+    base = direct_sum(sl2(), heisenberg3())
+    dense = base.conjugate(rand_invertible(Random(3), 6))
+    for pi in (base.to_cochain(), dense.to_cochain()):
+        assert pi.coeffs
+        assert same(pi, pi).coeffs == {}
+    # compatible brackets: P1.P2 = -P2.P1 with some sums cancelling
+    for dim in (3, 4):
+        pair = rand_compatible_pair(rng, dim)
+        p1, p2 = pair.bracket1.to_cochain(), pair.bracket2.to_cochain()
+        assert same(p1, p2) == same(p2, p1).scale(-1)
 
 
 def test_eval_vectors_matches_index_expansion():
