@@ -35,6 +35,7 @@ from .core import (
     InternalCheckError,
     LieBracket,
     Verdict,
+    jacobiator,
     pencil,
     validate_bracket,
     validate_pair,
@@ -51,7 +52,6 @@ from .document import AlgebraDocument, ParseError, parse
 from .extension import (
     ExtensionDatum,
     _theta_intertwines,
-    assemble_brackets,
     gauge_transform,
     maurer_cartan_verdict,
     validate_extension_datum,
@@ -176,9 +176,11 @@ class Report:
 
 def _cmd_check(doc: AlgebraDocument, args, report: Report):
     b1, b2 = doc.bracket1(), doc.bracket2()
-    report.verdict("bracket1-jacobi", validate_bracket(b1))
-    report.verdict("bracket2-jacobi", validate_bracket(b2))
-    v_pair = validate_pair(b1, b2)
+    # each Jacobiator once: the pair verdict reuses the brackets' own
+    jacobi = jacobiator(b1), jacobiator(b2)
+    report.verdict("bracket1-jacobi", validate_bracket(b1, jacobi[0]))
+    report.verdict("bracket2-jacobi", validate_bracket(b2, jacobi[1]))
+    v_pair = validate_pair(b1, b2, jacobi)
     report.verdict("pair-compatible", v_pair)
     rep = doc.rep_pair()
     if rep is not None and v_pair.ok:
@@ -334,7 +336,7 @@ def _cmd_extend(doc: AlgebraDocument, args, report: Report):
     report.verdict("extension-datum", v)
     report.verdict("maurer-cartan", maurer_cartan_verdict(datum))
     if v.ok:
-        for which, b in enumerate(assemble_brackets(datum), start=1):
+        for which, b in enumerate(datum.brackets, start=1):
             report.table(f"extension-bracket{which}", _entry_rows(b.entries()))
     if args.xi is not None:
         try:

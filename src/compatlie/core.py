@@ -165,20 +165,32 @@ def _inverse(g: Matrix) -> Matrix:
     return Matrix.from_columns(cols, rows=n)
 
 
-def validate_bracket(b: LieBracket) -> Verdict:
+def jacobiator(b: LieBracket) -> Cochain:
+    """[pi, pi]_NR, which vanishes exactly when b is a Lie bracket."""
+    p = b.to_cochain()
+    return nr_bracket(p, p)
+
+
+def validate_bracket(b: LieBracket, jacobi: Cochain | None = None) -> Verdict:
     """ok iff [pi, pi]_NR = 0; otherwise the first basis triple where the
-    Jacobiator does not vanish, with its value."""
-    return first_failure([("jacobi", nr_bracket(b.to_cochain(), b.to_cochain()))])
+    Jacobiator does not vanish, with its value.  `jacobi` is
+    `jacobiator(b)` when the caller already has it."""
+    return first_failure([("jacobi", jacobiator(b) if jacobi is None else jacobi)])
 
 
-def validate_pair(b1: LieBracket, b2: LieBracket) -> Verdict:
+def validate_pair(
+    b1: LieBracket, b2: LieBracket, jacobi: tuple[Cochain, Cochain] | None = None
+) -> Verdict:
     """ok iff both brackets are Lie and the mixed bracket [pi1, pi2]_NR
-    vanishes, so that every pencil k1*pi1 + k2*pi2 is a Lie bracket."""
+    vanishes, so that every pencil k1*pi1 + k2*pi2 is a Lie bracket.
+    `jacobi` is (jacobiator(b1), jacobiator(b2)) when the caller already
+    has them; the rest is computed only while the earlier laws hold."""
     if b1.dim != b2.dim:
         raise ValueError("brackets live on spaces of different dimension")
     p1, p2 = b1.to_cochain(), b2.to_cochain()
+    known = dict(zip(("jacobi-1", "jacobi-2"), jacobi or ()))
     return first_failure(
-        (law, nr_bracket(p, q))
+        (law, known[law] if law in known else nr_bracket(p, q))
         for law, p, q in (
             ("jacobi-1", p1, p1),
             ("jacobi-2", p2, p2),

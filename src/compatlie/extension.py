@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .cohomology import CochainTuple, coboundary_preimage, staircase_coboundary
 from .core import (
@@ -82,13 +83,20 @@ class ExtensionDatum:
         return self.fibre.dim
 
     @cached_property
+    def brackets(self) -> tuple[LieBracket, LieBracket]:
+        """The two direct-sum brackets, `assemble_brackets(self)`, built
+        once per datum: the Jacobiators, the CLI's bracket tables and the
+        theta check all read them."""
+        return assemble_brackets(self)
+
+    @cached_property
     def jacobiators(self) -> tuple[Cochain, Cochain, Cochain]:
         """(P1.P1, P2.P2, [P1, P2]) for the assembled brackets P1, P2: the
         Jacobiators of both brackets (halved) and the mixed one.  By
         Nijenhuis-Richardson they are also the three Maurer-Cartan
         identities of (rho^ + w1^, mu^ + w2^) in the algebra twisted by the
         base and fibre brackets."""
-        p1, p2 = (b.to_cochain() for b in assemble_brackets(self))
+        p1, p2 = (b.to_cochain() for b in self.brackets)
         return nr_compose(p1, p1), nr_compose(p2, p2), nr_bracket(p1, p2)
 
 
@@ -209,7 +217,7 @@ def build_extension(datum: ExtensionDatum) -> CompatiblePair:
     v = validate_extension_datum(datum)
     if not v:
         raise ValueError(f"invalid extension datum: {v.describe()}")
-    return CompatiblePair.unchecked(*assemble_brackets(datum))
+    return CompatiblePair.unchecked(*datum.brackets)
 
 
 # -- extraction from a short exact sequence -------------------------------------
@@ -312,8 +320,7 @@ def extract_datum(
         + [embed.column(a) for a in range(m)],
         rows=big,
     )
-    rebuilt = assemble_brackets(datum)
-    for built, orig in zip(rebuilt, (ext.bracket1, ext.bracket2)):
+    for built, orig in zip(datum.brackets, (ext.bracket1, ext.bracket2)):
         for p in range(big):
             for q in range(p + 1, big):
                 lhs = phi.matvec(built.bracket_basis(p, q))
@@ -427,27 +434,51 @@ def _theta_intertwines(
     """OK once theta: (x, u) -> (x, -xi(x) + u) is verified to intertwine
     the extensions built from `datum` and from its gauge transform `moved`
     (both brackets, all basis pairs); a failure is an `InternalCheckError`.
-    `cli` calls it directly on the transform it has already computed."""
+    `cli` calls it directly on the transform it has already computed.
+
+    The check runs on integers.  theta e_p = e_p - sum_k xi[k, p] f_k has
+    at most 1 + m nonzeros, kept as integer terms over the lcm L of xi's
+    denominators; theta [e_p, e_q] and [theta e_p, theta e_q]' are summed
+    from the two brackets' `integer_rows` (the datum's and the transform's,
+    each assembled once) and compared as integer dicts scaled to one
+    common denominator.  No theta matrix and no Fraction is built."""
     n, m = datum.base_dim, datum.fibre_dim
-    e1 = assemble_brackets(datum)
-    e2 = assemble_brackets(moved)
     big = n + m
-    theta_cols = []
-    for i in range(n):
-        col = list(_basis(big, i))
+    den = lcm(*(xi[k, p].denominator for k in range(m) for p in range(n)))
+    theta = []  # theta e_p as integer (index, coefficient) terms over L
+    for p in range(n):
+        col = [(p, den)]
         for k in range(m):
-            col[n + k] = -xi[k, i]
-        theta_cols.append(tuple(col))
-    for a in range(m):
-        theta_cols.append(_basis(big, n + a))
-    theta = Matrix.from_columns(theta_cols, rows=big)
-    for built, built2 in zip(e1, e2):
+            x = xi[k, p]
+            if x:
+                col.append((n + k, -x.numerator * (den // x.denominator)))
+        theta.append(col)
+    theta += [[(n + a, den)] for a in range(m)]
+    for built, built2 in zip(datum.brackets, moved.brackets):
+        d1, rows1 = built.to_cochain().integer_rows()
+        d2, rows2 = built2.to_cochain().integer_rows()
         for p in range(big):
             for q in range(p + 1, big):
-                lhs = theta.matvec(built.bracket_basis(p, q))
-                rhs = built2.bracket(theta.column(p), theta.column(q))
-                if lhs != rhs:
+                lhs: dict[int, int] = {}  # theta [e_p, e_q], over d1 L
+                for k, c in rows1.get((p, q), ()):
+                    for t, x in theta[k]:
+                        lhs[t] = lhs.get(t, 0) + c * x
+                rhs: dict[int, int] = {}  # [theta e_p, theta e_q]', over d2 L^2
+                for i, a in theta[p]:
+                    for j, b in theta[q]:
+                        if i == j:
+                            continue
+                        key, ab = ((i, j), a * b) if i < j else ((j, i), -a * b)
+                        for t, c in rows2.get(key, ()):
+                            rhs[t] = rhs.get(t, 0) + ab * c
+                # lhs / (d1 L) = rhs / (d2 L^2)  iff  lhs d2 L = rhs d1
+                if _scaled(lhs, d2 * den) != _scaled(rhs, d1):
                     raise InternalCheckError(
                         "difference equations hold but theta fails"
                     )
     return OK
+
+
+def _scaled(terms: dict[int, int], factor: int) -> dict[int, int]:
+    """The nonzero entries of an integer dict, times `factor`."""
+    return {t: v * factor for t, v in terms.items() if v}

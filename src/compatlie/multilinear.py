@@ -4,7 +4,11 @@ A cochain of arity p on a source space of dimension n with values in a target
 space of dimension m is an alternating p-linear map, stored sparsely by its
 values on increasing basis subsets.  Evaluation on arbitrary index lists uses
 the alternating extension (permutation sign, zero on repeats); evaluation on
-vectors extends multilinearly over the arguments' nonzero coordinates.
+vectors extends multilinearly over the arguments' nonzero coordinates, on
+integer numerators: the cochain's values are kept as integer rows over one
+denominator (`Cochain.integer_rows`), each argument is cleared of
+denominators once, and each nonzero Fraction of the value is built once
+(the rational sum is the test oracle `eval_vectors_fraction`).
 
 The graded Lie structure: a cochain of arity p+1 has degree p, and
 
@@ -36,6 +40,9 @@ Subset = tuple[int, ...]
 # `nr_compose`'s marker for a sort not yet looked up (None is an overlap)
 _UNSORTED = object()
 
+# the zero coordinate `eval_vectors` shares between its values
+_ZERO = Fraction(0)
+
 
 def sort_with_sign(indices) -> tuple[Subset, int] | None:
     """Sort an index tuple, returning (sorted, permutation sign); None if an
@@ -58,9 +65,11 @@ def sort_with_sign(indices) -> tuple[Subset, int] | None:
 class Cochain:
     """Alternating p-linear map stored as {(increasing subset, target index):
     coefficient}; zero entries are never stored.  Arity 0 is a plain target
-    vector filed under the empty subset."""
+    vector filed under the empty subset.  A cochain is immutable: `coeffs`
+    is never mutated after construction, so tables derived from it on
+    first use (`integer_rows`) are kept for the cochain's lifetime."""
 
-    __slots__ = ("arity", "source_dim", "target_dim", "coeffs")
+    __slots__ = ("arity", "source_dim", "target_dim", "coeffs", "_rows")
 
     def __init__(self, arity: int, source_dim: int, target_dim: int, coeffs=None):
         if arity < 0:
@@ -204,25 +213,48 @@ class Cochain:
                 out = vadd(out, vscale(c, self.eval_indices((i, *rest))))
         return out
 
+    def integer_rows(self) -> tuple[int, dict[Subset, tuple[tuple[int, int], ...]]]:
+        """(L, {subset: ((k, L c_k), ...)}): the stored values as integer
+        rows over one denominator L, the lcm of the coefficients'
+        denominators; built on first use and kept."""
+        try:
+            return self._rows
+        except AttributeError:
+            pass
+        den = lcm(*(c.denominator for c in self.coeffs.values()))
+        rows: dict[Subset, list] = {}
+        for (subset, k), c in self.coeffs.items():
+            num = c.numerator * (den // c.denominator)
+            rows.setdefault(subset, []).append((k, num))
+        self._rows = den, {subset: tuple(row) for subset, row in rows.items()}
+        return self._rows
+
     def eval_vectors(self, vectors) -> Vec:
-        """Full multilinear alternating evaluation on source-space vectors."""
+        """Full multilinear alternating evaluation on source-space vectors,
+        summed on integers over the `integer_rows` table and the arguments,
+        each cleared of denominators once."""
         if len(vectors) != self.arity:
             raise ValueError("wrong number of arguments")
-        # sparse accumulation: `eval_indices` would build, scale and add a
-        # dense target vector per term
-        out = [Fraction(0)] * self.target_dim
-        nonzero = [[(i, x) for i, x in enumerate(v) if x] for v in vectors]
+        den, rows = self.integer_rows()
+        scale = den
+        nonzero = []
+        for v in vectors:
+            terms = [(i, x) for i, x in enumerate(v) if x]
+            lv = lcm(*(x.denominator for _, x in terms))
+            nonzero.append([(i, x.numerator * (lv // x.denominator)) for i, x in terms])
+            scale *= lv
+        acc = [0] * self.target_dim
         for term in product(*nonzero):
-            ss = sort_with_sign(i for i, _ in term)
+            ss = sort_with_sign([i for i, _ in term])
             if ss is None:
                 continue
-            subset, sign = ss
-            c = prod((x for _, x in term), start=Fraction(sign))
-            for k in range(self.target_dim):
-                d = self.coeffs.get((subset, k))
-                if d is not None:
-                    out[k] += c * d
-        return tuple(out)
+            row = rows.get(ss[0])
+            if row is None:
+                continue
+            c = prod((x for _, x in term), start=ss[1])
+            for k, d in row:
+                acc[k] += c * d
+        return tuple(Fraction(v, scale) if v else _ZERO for v in acc)
 
     # -- flattening ----------------------------------------------------------
 

@@ -7,6 +7,7 @@ coboundaries, the Maurer-Cartan elements of an extension, the twisted
 differentials and the gauge exponential.  Those descriptions live here,
 with the defining sums the sparse kernels replaced (unshuffles, evaluation
 on every index tuple), the rational scatter the integer `nr_compose`
+replaced, the rational evaluation the integer `Cochain.eval_vectors`
 replaced, the rational Gauss-Jordan the integer `Matrix.rref` replaced, and
 a fraction-free (Bareiss) rank.  Nothing in `compatlie`
 imports this module.
@@ -15,7 +16,7 @@ imports this module.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import factorial, lcm
+from math import factorial, lcm, prod
 
 from compatlie.core import (
     OK,
@@ -26,7 +27,7 @@ from compatlie.core import (
     combination,
     first_failure,
 )
-from compatlie.extension import ExtensionDatum
+from compatlie.extension import ExtensionDatum, assemble_brackets
 from compatlie.linalg import Matrix, frac, is_zero_vec, vadd, vscale, vsub, vzero
 from compatlie.multilinear import Cochain, nr_bracket, sort_with_sign
 
@@ -115,6 +116,27 @@ def nr_compose_fraction(p: Cochain, q: Cochain) -> Cochain:
             table[(subset, t)] = prev + c * d if sign == 1 else prev - c * d
     # lexicographic storage order, as every other constructor gives
     return Cochain(p.arity + q.arity - 1, n, n, dict(sorted(table.items())))
+
+
+def eval_vectors_fraction(f: Cochain, vectors) -> tuple:
+    """f on vectors by the sum over the product of the arguments' nonzero
+    coordinates, accumulated in Fractions: the reference for the integer
+    sum of `Cochain.eval_vectors`."""
+    if len(vectors) != f.arity:
+        raise ValueError("wrong number of arguments")
+    out = [Fraction(0)] * f.target_dim
+    nonzero = [[(i, x) for i, x in enumerate(v) if x] for v in vectors]
+    for term in product(*nonzero):
+        ss = sort_with_sign(i for i, _ in term)
+        if ss is None:
+            continue
+        subset, sign = ss
+        c = prod((x for _, x in term), start=Fraction(sign))
+        for k in range(f.target_dim):
+            d = f.coeffs.get((subset, k))
+            if d is not None:
+                out[k] += c * d
+    return tuple(out)
 
 
 def eval_vectors_index_expansion(f: Cochain, vectors) -> tuple:
@@ -541,6 +563,35 @@ def difference_equations_verdict(
                 if not is_zero_vec(diff):
                     return Verdict(False, Witness(law, (i + 1, j + 1), diff))
     return OK
+
+
+def theta_intertwines_matrix(
+    datum: ExtensionDatum, moved: ExtensionDatum, xi: Matrix
+) -> bool:
+    """Does theta: (x, u) -> (x, -xi(x) + u) intertwine the extensions
+    built from the two data, by the theta matrix and the rational brackets
+    of its columns: the reference for the integer check
+    `extension._theta_intertwines`."""
+    n, m = datum.base_dim, datum.fibre_dim
+    big = n + m
+    theta = Matrix(
+        [
+            [
+                Fraction(i == j) if i < n or j >= n else -xi[i - n, j]
+                for j in range(big)
+            ]
+            for i in range(big)
+        ]
+    )
+    return all(
+        theta.matvec(built.bracket_basis(p, q))
+        == eval_vectors_fraction(
+            built2.to_cochain(), (theta.column(p), theta.column(q))
+        )
+        for built, built2 in zip(assemble_brackets(datum), assemble_brackets(moved))
+        for p in range(big)
+        for q in range(p + 1, big)
+    )
 
 
 def _gt_subsets(total: int, n: int, arity: int):

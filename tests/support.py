@@ -19,6 +19,7 @@ from compatlie.core import (
     validate_pair,
     validate_rep,
 )
+from compatlie.document import AlgebraDocument, CochainBlock, RepBlock
 from compatlie.linalg import Matrix
 from compatlie.multilinear import Cochain
 
@@ -208,3 +209,67 @@ def rand_rep(rng: Random, pair: CompatiblePair, max_module_dim=3) -> RepPair:
     rep = rng.choice(options)
     assert validate_rep(pair, rep), "generator produced an invalid representation"
     return rep
+
+
+# -- random algebra documents ------------------------------------------------
+
+_NAMES = ("N", "xi", "omega1", "omega_2", "Theta", "_w9", "sigma")
+
+
+def rand_rational(rng: Random) -> Fraction:
+    """Signed, with multi-digit numerators and denominators and zeros."""
+    return Fraction(rng.randint(-999, 999), rng.choice((1, 2, 7, 12, 360, 1001)))
+
+
+def _rand_entries(rng: Random, source: int, target: int, density: float) -> tuple:
+    """Sorted 1-based (i, j, k, coefficient) with i < j."""
+    return tuple(
+        (i, j, k, rand_rational(rng))
+        for i in range(1, source + 1)
+        for j in range(i + 1, source + 1)
+        for k in range(1, target + 1)
+        if rng.random() < density
+    )
+
+
+def _rand_rows(rng: Random, rows: int, cols: int) -> tuple:
+    return tuple(
+        tuple(rand_rational(rng) for _ in range(cols)) for _ in range(rows)
+    )
+
+
+def rand_document(rng: Random) -> AlgebraDocument:
+    """A parsed-form document with every kind of block: brackets, an
+    optional module with some matrices omitted, operators of any shape and
+    cochain blocks whose source and target differ from dim.  Its blocks are
+    in the order `parse` gives (entries sorted, names sorted)."""
+    dim = rng.randint(1, 5)
+    density = rng.choice((0.1, 0.4, 0.8))
+    rep = None
+    if rng.random() < 0.7:
+        md = rng.randint(1, 4)
+        rho, mu = (
+            tuple(
+                _rand_rows(rng, md, md) if rng.random() < 0.6 else None
+                for _ in range(dim)
+            )
+            for _ in range(2)
+        )
+        rep = RepBlock(md, rho, mu)
+    ops = tuple(
+        (name, _rand_rows(rng, rng.randint(1, 4), rng.randint(1, 4)))
+        for name in sorted(rng.sample(_NAMES, rng.randint(0, 3)))
+    )
+    cochains = []
+    for name in sorted(rng.sample(_NAMES, rng.randint(0, 3))):
+        source, target = rng.randint(1, 6), rng.randint(1, 6)
+        entries = _rand_entries(rng, source, target, density)
+        cochains.append((name, CochainBlock(source, target, entries)))
+    return AlgebraDocument(
+        dim=dim,
+        pi1=_rand_entries(rng, dim, dim, density),
+        pi2=_rand_entries(rng, dim, dim, density),
+        rep=rep,
+        ops=ops,
+        cochains=tuple(cochains),
+    )

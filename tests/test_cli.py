@@ -432,6 +432,28 @@ def test_extend_xi_transforms_once(capsys, monkeypatch):
         assert verdicts["isomorphic-under-xi"], argv
 
 
+def test_extend_xi_assembles_each_datum_once(capsys, monkeypatch):
+    # the datum's Jacobiators, bracket tables and theta check share one
+    # assembled pair, and the transform's Jacobiators and theta another
+    monkeypatch.chdir(DATA)
+    calls = []
+    assemble = extension.assemble_brackets
+
+    def counted(datum):
+        calls.append(datum)
+        return assemble(datum)
+
+    monkeypatch.setattr(extension, "assemble_brackets", counted)
+    xi_runs = [argv for argv in VERDICT_DIGESTS if "--xi" in argv]
+    assert len(xi_runs) == 2
+    for argv in xi_runs:
+        calls.clear()
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0, argv
+        assert len(calls) == 2, argv
+        assert json.loads(out)["tables"]["extension-bracket1"], argv
+
+
 def test_repeated_main_calls_share_one_parser_and_no_state(capsys, monkeypatch):
     builds = []
     build = cli.build_parser

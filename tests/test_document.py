@@ -6,6 +6,7 @@ import pytest
 
 from compatlie.document import AlgebraDocument, CochainBlock, ParseError, parse, render
 from compatlie.linalg import vec
+from support import rand_document
 
 DATA = Path(__file__).parent / "data"
 
@@ -109,6 +110,39 @@ def test_roundtrip_with_all_blocks():
     assert parse(render(doc)) == doc
     block = dict(doc.cochains)["omega1"]
     assert block == CochainBlock(2, 1, ((1, 2, 1, Fraction(1)),))
+
+
+def test_roundtrip_generated_documents():
+    # parse(render(doc)) == doc and render is a fixed point, on seeded
+    # documents beyond the fixtures: modules with omitted matrices,
+    # operators, cochain blocks whose target differs from dim, and
+    # negative and multi-digit denominators
+    rng = Random(239)
+    seen = set()
+    for _ in range(200):
+        doc = rand_document(rng)
+        text = render(doc)
+        assert parse(text) == doc
+        assert render(parse(text)) == text
+        if doc.rep is not None:
+            seen.add("rep")
+            if None in doc.rep.rho + doc.rep.mu:
+                seen.add("omitted matrix")
+        if doc.ops:
+            seen.add("op")
+        if any(b.target_dim != doc.dim for _, b in doc.cochains):
+            seen.add("cochain target != dim")
+        values = [e[3] for e in doc.pi1 + doc.pi2]
+        values += [e[3] for _, b in doc.cochains for e in b.entries]
+        if any(c < 0 and c.denominator >= 10 for c in values):
+            seen.add("negative multi-digit denominator")
+    assert seen == {
+        "rep",
+        "omitted matrix",
+        "op",
+        "cochain target != dim",
+        "negative multi-digit denominator",
+    }
 
 
 # Superscript digits pass str.isdigit() but not int(); every integer field

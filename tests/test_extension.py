@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from random import Random
@@ -18,6 +19,7 @@ from compatlie.core import (
 )
 from compatlie.extension import (
     ExtensionDatum,
+    _theta_intertwines,
     Section,
     assemble_brackets,
     build_extension,
@@ -35,6 +37,7 @@ from oracles import (
     gauge_transform_nr,
     gauge_transform_series,
     lifted_maurer_cartan_verdict,
+    theta_intertwines_matrix,
     twisted_boundary_matrices,
 )
 from support import (
@@ -800,3 +803,51 @@ def test_isomorphism_witnesses_match_the_difference_equations():
         assert extensions_isomorphic_under(datum, other, xi) == expected
         laws.add(expected.witness.law if expected.witness else "ok")
     assert laws == {"ok", "iso-1", "iso-2", "iso-3", "iso-4"}
+
+
+def test_theta_check_catches_each_perturbed_piece():
+    # theta intertwines a datum with its gauge transform; one changed entry
+    # of the transform's omega1, rho or mu breaks it, for an abelian and a
+    # nonabelian fibre, and the integer check agrees with the matrix route
+    rng = Random(233)
+    for t in range(16):
+        g = rand_compatible_pair(rng, rng.randint(2, 3))
+        if t % 2:
+            h = rand_compatible_pair(rng, 2)
+            while h.bracket1.is_zero() and h.bracket2.is_zero():
+                h = rand_compatible_pair(rng, 2)
+        else:
+            h = abelian(rng.randint(1, 2))
+        n, m = g.dim, h.dim
+        datum = gauge_transform(product_datum(g, h), rand_matrix(rng, m, n, -1, 1))
+        xi = rand_matrix(rng, m, n, -2, 2)
+        moved = gauge_transform(datum, xi)
+        assert _theta_intertwines(datum, moved, xi) == OK
+        assert theta_intertwines_matrix(datum, moved, xi)
+        delta = rand_fraction(rng, 1, 3)
+        bump = Matrix(
+            [[delta if (r, c) == (0, m - 1) else 0 for c in range(m)] for r in range(m)]
+        )
+        i = rng.randrange(n)
+        rho, mu = list(moved.rho), list(moved.mu)
+        rho[i] = rho[i] + bump
+        mu[i] = mu[i] + bump
+        for bad in (
+            replace(
+                moved,
+                omega1=moved.omega1
+                + Cochain(2, n, m, {((0, n - 1), rng.randrange(m)): delta}),
+            ),
+            replace(moved, rho=tuple(rho)),
+            replace(moved, mu=tuple(mu)),
+        ):
+            assert not theta_intertwines_matrix(datum, bad, xi)
+            with pytest.raises(InternalCheckError):
+                _theta_intertwines(datum, bad, xi)
+        # another xi: both routes give the same answer
+        other = rand_matrix(rng, m, n, -2, 2)
+        if theta_intertwines_matrix(datum, moved, other):
+            assert _theta_intertwines(datum, moved, other) == OK
+        else:
+            with pytest.raises(InternalCheckError):
+                _theta_intertwines(datum, moved, other)

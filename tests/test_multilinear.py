@@ -11,6 +11,7 @@ from oracles import (
     bidegree_of,
     ce_adjoint,
     ce_coboundary_nr,
+    eval_vectors_fraction,
     eval_vectors_index_expansion,
     lift_endo_cochain,
     lift_linear_map,
@@ -159,26 +160,75 @@ def test_nr_compose_equals_the_fraction_scatter():
 
 
 def test_eval_vectors_matches_index_expansion():
-    rng = Random(59)
-    for _ in range(150):
-        dim = rng.randint(1, 5)
-        td = rng.randint(1, 3)
-        arity = rng.randint(0, 3)
-        f = rand_cochain(rng, arity, dim, td, density=rng.choice((0.2, 0.6)))
-        vectors = [
-            vec(
-                rng.randint(-2, 2) if rng.random() < 0.5 else 0
-                for _ in range(dim)
-            )
-            for _ in range(arity)
-        ]
-        if arity and rng.random() < 0.2:
-            vectors[rng.randrange(arity)] = vzero(dim)
+    # the integer evaluation against the rational sum it replaced and the
+    # sum over every index tuple: equal Fraction values, none an int,
+    # before and after the cached integer rows are built
+    rng = Random(67)
+    big = 2**80
+
+    def same(f, vectors):
         got = f.eval_vectors(vectors)
+        assert got == eval_vectors_fraction(f, vectors)
         assert got == eval_vectors_index_expansion(f, vectors)
-        assert len(got) == td
+        assert len(got) == f.target_dim
         assert all(type(c) is Fraction for c in got)
-    assert Cochain.zero(2, 3, 2).eval_vectors((vzero(3), vzero(3))) == vzero(2)
+        return got
+
+    def draw(dim):
+        # denominators 1..6 mixed within one vector, some coordinates zero
+        return tuple(
+            Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+            if rng.random() < 0.6
+            else Fraction(0)
+            for _ in range(dim)
+        )
+
+    for _ in range(120):
+        dim = rng.randint(1, 8)
+        arity = rng.randint(0, 3 if dim <= 6 else 2)
+        td = rng.randint(1, 4)
+        f = rand_cochain(rng, arity, dim, td, density=rng.choice((0.2, 0.6, 1.0)))
+        f = Cochain(
+            arity, dim, td, {key: c / rng.randint(1, 6) for key, c in f.coeffs.items()}
+        )
+        vectors = [draw(dim) for _ in range(arity)]
+        first = same(f, vectors)
+        # the table built on the first call answers the same and others
+        rows = f.integer_rows()
+        assert same(f, vectors) == first
+        assert f.integer_rows() is rows
+        same(f, [draw(dim) for _ in range(arity)])
+        if arity:
+            zeroed = list(vectors)
+            zeroed[rng.randrange(arity)] = vzero(dim)
+            assert same(f, zeroed) == vzero(td)
+        if arity >= 2:
+            # a repeated argument: the alternating value vanishes
+            repeated = list(vectors)
+            repeated[1] = repeated[0]
+            assert same(f, repeated) == vzero(td)
+        same(Cochain.zero(arity, dim, td), vectors)
+        # entries near 2^80 in both the cochain and the arguments
+        huge = Cochain(
+            arity,
+            dim,
+            td,
+            {
+                key: Fraction(big + rng.randint(-9, 9), big - rng.randint(1, 9)) * c
+                for key, c in f.coeffs.items()
+            },
+        )
+        same(huge, vectors)
+        same(f, [tuple(x * (big + rng.randint(1, 9)) for x in v) for v in vectors])
+    # a bracket on basis columns and general vectors, before and after a
+    # GL(6) change of basis makes its table dense
+    base = direct_sum(sl2(), heisenberg3())
+    g = rand_invertible(Random(3), 6)
+    for b in (base, base.conjugate(g)):
+        pi = b.to_cochain()
+        for i in range(6):
+            same(pi, (g.column(i), g.column(5 - i)))
+            same(pi, (draw(6), draw(6)))
 
 
 def test_compose_with_zero_is_zero():
