@@ -16,13 +16,16 @@ report), 2 usage or parse errors, 3 an internal consistency check failed
 
 The json and csv formats are byte-identical across runs on identical
 input: every ordering is fixed and no timing information is included
-(text output carries a timing line for humans).
+(text output carries a timing line for humans).  Every csv row has four
+fields; fields holding a comma or a quote are quoted (`csv.writer`).
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import json
 import sys
 import time
@@ -122,19 +125,23 @@ class Report:
         return json.dumps(self.data, sort_keys=True, indent=2) + "\n"
 
     def to_csv(self) -> str:
-        lines = ["section,name,field,value"]
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["section", "name", "field", "value"])
         for v in self.data["verdicts"]:
-            lines.append(f"verdict,{v['name']},ok,{str(v['ok']).lower()}")
+            writer.writerow(["verdict", v["name"], "ok", str(v["ok"]).lower()])
             if "witness" in v:
                 w = v["witness"]
                 at = " ".join(str(i) for i in w["at"])
                 val = " ".join(w["value"])
-                lines.append(f"verdict,{v['name']},witness,{w['law']} @ {at}: {val}")
+                writer.writerow(
+                    ["verdict", v["name"], "witness", f"{w['law']} @ {at}: {val}"]
+                )
         for name, rows in sorted(self.data["tables"].items()):
             for row in rows:
                 for key in sorted(row):
-                    lines.append(f"table:{name},{row.get('label', '')},{key},{row[key]}")
-        return "\n".join(lines) + "\n"
+                    writer.writerow([f"table:{name}", row.get("label", ""), key, row[key]])
+        return out.getvalue()
 
     def to_text(self, witness: bool, elapsed: float) -> str:
         lines = [f"command: {self.data['command']}  input: {self.data['input']}"]

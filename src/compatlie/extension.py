@@ -182,27 +182,24 @@ def validate_extension_datum(datum: ExtensionDatum) -> Verdict:
 def assemble_brackets(datum: ExtensionDatum) -> tuple[LieBracket, LieBracket]:
     """The two direct-sum brackets, built without any validity check (so
     the equivalence 'nine equations <-> assembled pair is compatible' can
-    be tested in both directions)."""
+    be tested in both directions).  Each table is filed from the stored
+    nonzeros of the base bracket, the cochain, the action matrices and the
+    fibre bracket, and checked once, as a `Cochain`."""
     g, h = datum.base, datum.fibre
     n, m = g.dim, h.dim
 
     def build(g_br, h_br, act, w):
-        entries = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k, c in enumerate(g_br.bracket_basis(i, j)):
-                    entries[(i, j, k)] = c
-                for k, c in enumerate(w.value((i, j))):
-                    entries[(i, j, n + k)] = c
-        for i in range(n):
-            for a in range(m):
-                for k, c in enumerate(act[i].column(a)):
-                    entries[(i, n + a, n + k)] = c
-        for a in range(m):
-            for b in range(a + 1, m):
-                for k, c in enumerate(h_br.bracket_basis(a, b)):
-                    entries[(n + a, n + b, n + k)] = c
-        return LieBracket(n + m, entries)
+        coeffs = dict(g_br.to_cochain().coeffs)
+        for (ij, k), c in w.coeffs.items():
+            coeffs[(ij, n + k)] = c
+        for i, mat in enumerate(act):
+            for k in range(m):
+                for a, c in enumerate(mat.row(k)):
+                    if c:
+                        coeffs[((i, n + a), n + k)] = c
+        for ((a, b), k), c in h_br.to_cochain().coeffs.items():
+            coeffs[((n + a, n + b), n + k)] = c
+        return LieBracket.from_cochain(Cochain(2, n + m, n + m, coeffs))
 
     return (
         build(g.bracket1, h.bracket1, datum.rho, datum.omega1),

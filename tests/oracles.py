@@ -8,9 +8,10 @@ differentials and the gauge exponential.  Those descriptions live here,
 with the defining sums the sparse kernels replaced (unshuffles, evaluation
 on every index tuple), the rational scatter the integer `nr_compose`
 replaced, the rational evaluation the integer `Cochain.eval_vectors`
-replaced, the rational Gauss-Jordan the integer `Matrix.rref` replaced, and
-a fraction-free (Bareiss) rank.  Nothing in `compatlie`
-imports this module.
+replaced, the rational Gauss-Jordan the integer `Matrix.rref` replaced, a
+fraction-free (Bareiss) rank, the entrywise assembly of the direct-sum
+brackets, and the staircase and hand-expanded forms of the deformation
+checks.  Nothing in `compatlie` imports this module.
 """
 
 from dataclasses import dataclass
@@ -18,15 +19,18 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import factorial, lcm, prod
 
+from compatlie.cohomology import CochainTuple, staircase_coboundary
 from compatlie.core import (
     OK,
     CompatiblePair,
     InternalCheckError,
+    LieBracket,
     Verdict,
     Witness,
     combination,
     first_failure,
 )
+from compatlie.deformation import DeformationDatum
 from compatlie.extension import ExtensionDatum, assemble_brackets
 from compatlie.linalg import Matrix, frac, is_zero_vec, vadd, vscale, vsub, vzero
 from compatlie.multilinear import Cochain, nr_bracket, sort_with_sign
@@ -378,6 +382,88 @@ def rank_bareiss(m: Matrix) -> int:
     return r
 
 
+# -- deformations by the staircase and by hand -------------------------------------
+
+
+def staircase_deformation_verdict(pair: CompatiblePair, d: DeformationDatum) -> Verdict:
+    """The six deformation identities with deform-1..3 read as minus the
+    components of the staircase coboundary of (w1, w2), built from the
+    `ce_matrix` arms: the reference for `is_infinitesimal_deformation`."""
+    w1, w2 = d.omega1, d.omega2
+    closed = staircase_coboundary(pair, CochainTuple(2, [w1, w2])).components
+    return first_failure(
+        [
+            ("deform-1: [pi1,w1]", -closed[0]),
+            ("deform-2: [pi1,w2]+[pi2,w1]", -closed[1]),
+            ("deform-3: [pi2,w2]", -closed[2]),
+            ("deform-4: [w1,w1]", nr_bracket(w1, w1)),
+            ("deform-5: [w1,w2]", nr_bracket(w1, w2)),
+            ("deform-6: [w2,w2]", nr_bracket(w2, w2)),
+        ]
+    )
+
+
+def _unit(dim, i):
+    return tuple(int(k == i) for k in range(dim))
+
+
+def hand_expanded_layers(bracket: LieBracket, w, w_prime, n_op: Matrix):
+    """The t, t^2 and t^3 layers of
+
+        (Id + tN)([x,y]_t) - [(Id+tN)x, (Id+tN)y]'_t,
+
+    [.,.]_t deformed by w and [.,.]'_t by w', expanded on basis pairs."""
+    dim = bracket.dim
+    lin, quad, cub = {}, {}, {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            ni, nj = n_op.column(i), n_op.column(j)
+            ei, ej = _unit(dim, i), _unit(dim, j)
+            # t: w(x,y) + N[x,y] - [Nx,y] - [x,Ny] - w'(x,y)
+            lin[(i, j)] = vsub(
+                vadd(w.value((i, j)), n_op.matvec(bracket.bracket_basis(i, j))),
+                vadd(
+                    vadd(bracket.bracket(ni, ej), bracket.bracket(ei, nj)),
+                    w_prime.value((i, j)),
+                ),
+            )
+            # t^2: N w(x,y) - [Nx, Ny] - w'(Nx,y) - w'(x,Ny)
+            quad[(i, j)] = vsub(
+                n_op.matvec(w.value((i, j))),
+                vadd(
+                    bracket.bracket(ni, nj),
+                    vadd(
+                        w_prime.eval_vectors((ni, ej)),
+                        w_prime.eval_vectors((ei, nj)),
+                    ),
+                ),
+            )
+            # t^3: -w'(Nx, Ny)
+            cub[(i, j)] = vscale(-1, w_prime.eval_vectors((ni, nj)))
+    return tuple(Cochain.from_values(2, dim, dim, v) for v in (lin, quad, cub))
+
+
+def hand_expanded_equivalence_verdict(
+    pair: CompatiblePair, d: DeformationDatum, d_prime: DeformationDatum, n_op
+) -> Verdict:
+    """The six equivalence equations, every layer expanded by hand: the
+    reference for `deformations_equivalent`, whose t layers are NR
+    coboundaries."""
+    b1, b2 = pair.bracket1, pair.bracket2
+    lin1, quad1, cub1 = hand_expanded_layers(b1, d.omega1, d_prime.omega1, n_op)
+    lin2, quad2, cub2 = hand_expanded_layers(b2, d.omega2, d_prime.omega2, n_op)
+    return first_failure(
+        [
+            ("equiv-1: w1 - w1' = [pi1,N]", lin1),
+            ("equiv-2: N w1 = w1'(.,N.) + w1'(N.,.) + [N.,N.]", quad1),
+            ("equiv-3: w2 - w2' = [pi2,N]", lin2),
+            ("equiv-4: N w2 = w2'(.,N.) + w2'(N.,.) + {N.,N.}", quad2),
+            ("equiv-5: w1'(N.,N.) = 0", cub1),
+            ("equiv-6: w2'(N.,N.) = 0", cub2),
+        ]
+    )
+
+
 # -- extensions in the graded algebra of the direct sum ----------------------------------
 
 
@@ -563,6 +649,37 @@ def difference_equations_verdict(
                 if not is_zero_vec(diff):
                     return Verdict(False, Witness(law, (i + 1, j + 1), diff))
     return OK
+
+
+def assemble_brackets_entrywise(datum: ExtensionDatum):
+    """The two direct-sum brackets, filed entry by entry from the values of
+    the base bracket, the cochain, the action columns and the fibre bracket
+    on every basis pair: the reference for `extension.assemble_brackets`."""
+    n, m = datum.base_dim, datum.fibre_dim
+
+    def build(g_br, h_br, act, w):
+        entries = {}
+        for i in range(n):
+            for j in range(i + 1, n):
+                for k, c in enumerate(g_br.bracket_basis(i, j)):
+                    entries[(i, j, k)] = c
+                for k, c in enumerate(w.value((i, j))):
+                    entries[(i, j, n + k)] = c
+        for i in range(n):
+            for a in range(m):
+                for k, c in enumerate(act[i].column(a)):
+                    entries[(i, n + a, n + k)] = c
+        for a in range(m):
+            for b in range(a + 1, m):
+                for k, c in enumerate(h_br.bracket_basis(a, b)):
+                    entries[(n + a, n + b, n + k)] = c
+        return LieBracket(n + m, entries)
+
+    g, h = datum.base, datum.fibre
+    return (
+        build(g.bracket1, h.bracket1, datum.rho, datum.omega1),
+        build(g.bracket2, h.bracket2, datum.mu, datum.omega2),
+    )
 
 
 def theta_intertwines_matrix(

@@ -1,5 +1,7 @@
+import csv
 import functools
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -520,6 +522,81 @@ def test_each_table_builds_each_arm_once(capsys, monkeypatch):
                 # staircase: d1 at degree 0, both arms at 1..k; reduced:
                 # both arms at 0..k+1
                 assert len(builds) == (2 * k + 1) + 2 * (k + 2)
+
+
+def test_deform_builds_each_arm_once(capsys, monkeypatch):
+    # the six identities and [pi, N] are NR brackets: only the preimage
+    # solve of the deformation class builds the degree-1 arms
+    monkeypatch.chdir(DATA)
+    builds = []
+    ce_matrix = cohomology.ce_matrix
+
+    def counted(pair, rep, degree, which):
+        builds.append((degree, which))
+        return ce_matrix(pair, rep, degree, which)
+
+    monkeypatch.setattr(cohomology, "ce_matrix", counted)
+    (argv,) = [argv for argv in VERDICT_DIGESTS if argv[0] == "deform"]
+    assert "--nijenhuis" in argv
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert [v["ok"] for v in json.loads(out)["verdicts"]] == [True] * 3
+    assert len(builds) == len(set(builds))
+    assert sorted(builds) == [(1, 1), (1, 2)]
+
+
+# `deform` inputs whose witness laws hold a comma: deform-1 on the sl2 pair,
+# and equiv-1 for a Nijenhuis operator whose coboundary is not w
+FAILING_DEFORM = {
+    "sl2_not_cocycle.alg": (DATA / "sl2_pair.alg").read_text()
+    + "\n[op N]\nrow: 1 0 0\nrow: 0 1 0\nrow: 0 0 1\n"
+    + "\n[cochain w1]\n1 2 1 1\n\n[cochain w2]\n",
+    "n2_wrong_operator.alg": (DATA / "n2.alg")
+    .read_text()
+    .replace("row: 1 0\nrow: 0 0", "row: 0 0\nrow: 0 1"),
+}
+
+
+def test_every_csv_row_has_four_fields(capsys, monkeypatch, tmp_path):
+    # fields holding a comma (pencil probes, NR laws in witness rows) are
+    # quoted; every other row is the comma-joined fields, as before
+    for name, text in FAILING_DEFORM.items():
+        (tmp_path / name).write_text(text)
+    for name, (text, _, _) in INVALID_EXTEND.items():
+        (tmp_path / name).write_text(text)
+    runs = [(DATA, argv) for argv in VERDICT_DIGESTS]
+    runs += [
+        (DATA, argv) for name, _ in TABLE_DIGESTS for argv in table_commands(name).values()
+    ]
+    runs += [
+        (tmp_path, ("deform", name, "--omega", "w", "--nijenhuis", "N"))
+        for name in FAILING_DEFORM
+    ]
+    runs += [
+        (tmp_path, ("extend", name, "--mode", mode))
+        for name, (_, mode, _) in INVALID_EXTEND.items()
+    ]
+    quoted, failed = 0, set()
+    for cwd, argv in runs:
+        monkeypatch.chdir(cwd)
+        _, out, _ = run(capsys, *argv, "--format", "csv")
+        _, report, _ = run(capsys, *argv, "--format", "json")
+        lines = out.splitlines()
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) == len(lines) > 1, argv
+        for line, row in zip(lines, rows):
+            assert len(row) == 4, (argv, line)
+            if any("," in field or '"' in field for field in row):
+                quoted += 1
+            else:
+                assert line == ",".join(row), (argv, line)
+        verdicts = json.loads(report)["verdicts"]
+        assert [r[1] for r in rows if r[0] == "verdict" and r[2] == "ok"] == [
+            v["name"] for v in verdicts
+        ]
+        failed |= {v["witness"]["law"] for v in verdicts if not v["ok"]}
+    assert quoted
+    assert {law.split(":")[0] for law in failed} >= {"deform-1", "equiv-1"}
 
 
 def test_internal_check_error_has_its_own_exit_code(capsys, monkeypatch):

@@ -17,11 +17,17 @@ from compatlie.deformation import (
 )
 from compatlie.linalg import Matrix, vec
 from compatlie.multilinear import Cochain, nr_bracket, nr_compose
+from oracles import hand_expanded_equivalence_verdict, staircase_deformation_verdict
 from support import (
     heisenberg3,
     n2,
+    nijenhuis_for,
+    rand_bracket,
+    rand_cochain,
     rand_compatible_pair,
+    rand_fraction,
     rand_matrix,
+    r3_solvable,
     sl2,
 )
 
@@ -194,6 +200,9 @@ def test_trivial_deformation_full_contract():
         step = staircase_coboundary(pair, CochainTuple(1, [n_c]))
         assert step.components[0] == d.omega1
         assert step.components[1] == d.omega2
+        # so N certifies the equivalence with the zero deformation
+        zero = DeformationDatum.zero(pair.dim)
+        assert deformations_equivalent(pair, d, zero, n_op).ok
         for t in (1, 2, 3):
             deformed_pair(pair, d, t)
         # the deformed brackets themselves are compatible and N maps them
@@ -240,3 +249,139 @@ def test_equivalence_failure_has_witness():
 def test_deformation_datum_shape_validation():
     with pytest.raises(ValueError):
         DeformationDatum(Cochain.zero(1, 2, 2), Cochain.zero(2, 2, 2))
+
+
+# -- the six identities and the NR coboundary against their second routes -------
+
+
+def zero_pair(dim):
+    return CompatiblePair(LieBracket.zero(dim), LieBracket.zero(dim))
+
+
+def rand_datum(rng, dim):
+    return DeformationDatum(rand_cochain(rng, 2, dim), rand_cochain(rng, 2, dim))
+
+
+def deformation_cases(rng):
+    """Seeded (pair, datum) cases: valid data, random data, and data built
+    so that each of deform-1..6 is the first identity to fail."""
+    cases = []
+    for _ in range(6):
+        pair = rand_compatible_pair(rng, rng.randint(2, 3))
+        n_op = nijenhuis_for(rng, pair.bracket1)
+        if is_nijenhuis(pair, n_op).ok:
+            cases.append((pair, trivial_deformation_from_nijenhuis(pair, n_op)))
+        rescaling = DeformationDatum(
+            pair.bracket1.to_cochain(), pair.bracket2.to_cochain()
+        )
+        cases += [(pair, rescaling), (pair, rand_datum(rng, pair.dim))]
+    zero = Cochain.zero(2, 3, 3)
+    left = CompatiblePair(sl2(), LieBracket.zero(3))
+    right = CompatiblePair(LieBracket.zero(3), sl2())
+    # two Lie brackets whose mixed Jacobiator does not vanish
+    incompatible = DeformationDatum(sl2().to_cochain(), r3_solvable().to_cochain())
+    for _ in range(3):
+        w = rand_cochain(rng, 2, 3)
+        not_lie = rand_bracket(rng, 3).to_cochain()
+        cases += [
+            (left, DeformationDatum(w, zero)),  # deform-1
+            (left, DeformationDatum(zero, w)),  # deform-2, by [pi1,w2]
+            (right, DeformationDatum(w, zero)),  # deform-2, by [pi2,w1]
+            (right, DeformationDatum(zero, w)),  # deform-3
+            (zero_pair(3), DeformationDatum(not_lie, zero)),  # deform-4
+            (zero_pair(3), incompatible),  # deform-5
+            (zero_pair(3), DeformationDatum(zero, not_lie)),  # deform-6
+        ]
+    return cases
+
+
+def test_six_identities_equal_the_staircase_verdict():
+    # deform-1..3 are minus the components of the staircase coboundary of
+    # (w1, w2); the verdicts agree in law, tuple and value
+    laws = set()
+    for pair, d in deformation_cases(Random(31)):
+        v = is_infinitesimal_deformation(pair, d)
+        assert v == staircase_deformation_verdict(pair, d)
+        laws.add(v.witness.law.split(":")[0] if v.witness else "ok")
+    assert laws == {"ok"} | {f"deform-{k}" for k in range(1, 7)}
+
+
+def test_deformed_pair_equals_the_validated_pair():
+    seen = set()
+    for pair, d in deformation_cases(Random(37)):
+        p1, p2 = pair.bracket1.to_cochain(), pair.bracket2.to_cochain()
+        ok = is_infinitesimal_deformation(pair, d).ok
+        if ok:
+            for t in (0, 1, Fraction(-3, 2)):
+                b1 = LieBracket.from_cochain(p1 + d.omega1.scale(t))
+                b2 = LieBracket.from_cochain(p2 + d.omega2.scale(t))
+                assert deformed_pair(pair, d, t) == CompatiblePair(b1, b2)
+        else:
+            with pytest.raises(ValueError) as err:
+                deformed_pair(pair, d, 1)
+            assert str(err.value) == "datum does not generate a deformation"
+        seen.add(ok)
+    assert seen == {True, False}
+
+
+def equivalence_cases(rng):
+    """Seeded (pair, d, d', N) cases with d' != 0 wherever the case allows
+    it: valid and random data, and data built so that each of equiv-1..6 is
+    the first equation to fail."""
+    cases = []
+    for _ in range(5):
+        pair = rand_compatible_pair(rng, rng.randint(2, 3))
+        dim = pair.dim
+        p1, p2 = pair.bracket1.to_cochain(), pair.bracket2.to_cochain()
+        n_op = rand_matrix(rng, dim, dim)
+        n_c = Cochain.from_matrix(n_op)
+        d_prime = rand_datum(rng, dim)
+        # d - d' is the NR coboundary of N, so the t layers hold
+        shifted = DeformationDatum(
+            d_prime.omega1 + nr_bracket(p1, n_c), d_prime.omega2 + nr_bracket(p2, n_c)
+        )
+        cases += [
+            (pair, d_prime, d_prime, Matrix.zeros(dim, dim)),  # ok
+            (pair, rand_datum(rng, dim), d_prime, n_op),  # equiv-1
+            (pair, shifted, d_prime, n_op),  # equiv-2
+        ]
+        # with bracket 1 zero and w1 = w1' = 0, equiv-1 and equiv-2 hold
+        half = CompatiblePair(LieBracket.zero(dim), pair.bracket2)
+        zero = Cochain.zero(2, dim, dim)
+        w2_prime = rand_cochain(rng, 2, dim)
+        only2 = DeformationDatum(zero, w2_prime)
+        cases += [
+            (half, DeformationDatum(zero, rand_cochain(rng, 2, dim)), only2, n_op),
+            (half, DeformationDatum(zero, w2_prime + nr_bracket(p2, n_c)), only2, n_op),
+        ]
+    # on the abelian dim-3 pair, w(e2, e3) = c e1 passes every layer of
+    # N = diag(1, 0, 1), and w(e1, e2) = c e3 passes the t and t^2 layers of
+    # N = diag(1, 1, 2) but not its t^3 layer
+    zero = Cochain.zero(2, 3, 3)
+    fixing = Matrix([[1, 0, 0], [0, 0, 0], [0, 0, 1]])
+    cubic = Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 2]])
+    for _ in range(2):
+        c = rand_fraction(rng)
+        fixed = DeformationDatum(*[Cochain(2, 3, 3, {((1, 2), 0): c})] * 2)
+        w = Cochain(2, 3, 3, {((0, 1), 2): c})
+        first, second = DeformationDatum(w, zero), DeformationDatum(zero, w)
+        cases += [
+            (zero_pair(3), fixed, fixed, fixing),  # ok
+            (zero_pair(3), first, first, cubic),  # equiv-5
+            (zero_pair(3), second, second, cubic),  # equiv-6
+        ]
+    return cases
+
+
+def test_equivalence_equals_the_hand_expanded_layers():
+    # equiv-1 and equiv-3 as (w - w') - [pi, N]_NR agree with the t layer
+    # expanded on basis pairs, in law, tuple and value, also for d' != 0
+    laws = set()
+    cases = equivalence_cases(Random(43))
+    for pair, d, d_prime, n_op in cases:
+        v = deformations_equivalent(pair, d, d_prime, n_op)
+        assert v == hand_expanded_equivalence_verdict(pair, d, d_prime, n_op)
+        laws.add(v.witness.law.split(":")[0] if v.witness else "ok")
+    assert laws == {"ok"} | {f"equiv-{k}" for k in range(1, 7)}
+    zero = [dp.omega1.is_zero() and dp.omega2.is_zero() for _, _, dp, _ in cases]
+    assert zero.count(False) >= 25

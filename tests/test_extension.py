@@ -33,6 +33,7 @@ from compatlie.extension import (
 from compatlie.linalg import Matrix, is_zero_vec, vadd, vec, vscale, vsub
 from compatlie.multilinear import Cochain, ce_coboundary, nr_bracket
 from oracles import (
+    assemble_brackets_entrywise,
     difference_equations_verdict,
     gauge_transform_nr,
     gauge_transform_series,
@@ -506,6 +507,34 @@ def test_build_extension_skips_the_second_validation():
             assert str(err.value) == f"invalid extension datum: {expected.describe()}"
         seen.add(expected.ok)
     assert seen == {True, False}
+
+
+def test_assembled_brackets_equal_the_entrywise_assembly():
+    # the tables filed from stored nonzeros equal those filed from every
+    # basis value, on random data and on data with zero parts
+    rng = Random(229)
+    data = [rand_datum(rng) for _ in range(60)] + action_and_derivation_data()
+    data += fixed_cocycle_data()
+    data += [broken_cocycle_datum(rng, nonabelian=t % 2 == 1) for t in range(10)]
+    data += [
+        heisenberg_datum(),
+        semidirect_n2_datum(),
+        product_datum(abelian(2), abelian(3)),
+        product_datum(rand_compatible_pair(rng, 3), rand_compatible_pair(rng, 2)),
+    ]
+    kinds = set()
+    for datum in data:
+        assert assemble_brackets(datum) == assemble_brackets_entrywise(datum)
+        kinds.add(
+            (
+                datum.base.bracket1.is_zero(),
+                datum.fibre.bracket1.is_zero() and datum.fibre.bracket2.is_zero(),
+                datum.omega1.is_zero() and datum.omega2.is_zero(),
+                all(a.is_zero() for a in datum.rho + datum.mu),
+            )
+        )
+    for part in range(4):
+        assert {k[part] for k in kinds} == {True, False}
 
 
 def test_jacobi_failure_of_base_or_fibre_is_internal():
