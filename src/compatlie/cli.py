@@ -46,6 +46,7 @@ from .core import (
 )
 from .deformation import (
     DeformationDatum,
+    _nr_coboundary,
     cohomology_obstruction,
     deformations_equivalent,
     is_infinitesimal_deformation,
@@ -286,13 +287,16 @@ def _cmd_deform(doc: AlgebraDocument, args, report: Report):
             raise CommandError(str(e)) from None
         if n_op.shape() != (doc.dim, doc.dim):
             raise CommandError("Nijenhuis candidate must be a square matrix on g")
-        vn = is_nijenhuis(pair, n_op)
+        # [pi_i, N]_NR: the torsion's deformed brackets and the t layers of
+        # the equivalence, computed once
+        delta = _nr_coboundary(pair, n_op)
+        vn = is_nijenhuis(pair, n_op, delta)
         report.verdict("nijenhuis-operator", vn)
         if vn.ok and v.ok:
             report.verdict(
                 "trivial-via-operator",
                 deformations_equivalent(
-                    pair, datum, DeformationDatum.zero(doc.dim), n_op
+                    pair, datum, DeformationDatum.zero(doc.dim), n_op, delta
                 ),
             )
 

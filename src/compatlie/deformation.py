@@ -17,21 +17,27 @@ both the field and the formal-parameter reading.
 
 A Nijenhuis operator (vanishing torsion for both brackets) generates the
 trivial deformation (w1, w2) = ([pi1,N], [pi2,N]), which is the degree-1
-coboundary of N; the equivalence equations read their linear layer off the
-same NR coboundary.  The staircase forms of both checks (the closure of
-(w1, w2), the coboundary of N and the hand-expanded linear layer) are test
-references (`tests/oracles.py`).  Only the preimage solve
-`cohomology_obstruction` builds the `ce_matrix` arms.
+coboundary of N; its components are also the brackets [x,y]_N the torsion
+is built from, and the equivalence equations read their linear layer off
+the same NR coboundary, so a caller that runs both checks computes it once
+and hands it to each.  The torsion and the t^2, t^3 layers of the
+equivalence are summed on integers over one denominator per cochain
+(`linalg.integer_columns`, `Cochain.integer_rows`).  The staircase forms of
+both checks (the closure of (w1, w2), the coboundary of N and the
+hand-expanded linear layer) and the rational sums are test references
+(`tests/oracles.py`).  Only the preimage solve `cohomology_obstruction`
+builds the `ce_matrix` arms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .cohomology import CochainTuple, coboundary_preimage
 from .core import CompatiblePair, LieBracket, Verdict, first_failure
-from .linalg import Matrix, vadd, vscale, vsub
-from .multilinear import Cochain, nr_bracket
+from .linalg import Matrix, add_image, integer_columns
+from .multilinear import Cochain, add_pair_value, nr_bracket
 
 
 @dataclass(frozen=True)
@@ -90,33 +96,48 @@ def deformed_pair(pair: CompatiblePair, d: DeformationDatum, t) -> CompatiblePai
     return CompatiblePair.unchecked(b1, b2)
 
 
-def nijenhuis_torsion(bracket: LieBracket, n_op: Matrix) -> Cochain:
+def nijenhuis_torsion(
+    bracket: LieBracket, n_op: Matrix, deformed: Cochain | None = None
+) -> Cochain:
     """The torsion T(x,y) = N([x,y]_N) - [N x, N y] with
-    [x,y]_N = [N x, y] + [x, N y] - N [x, y], on basis pairs.  The graded
-    form (1/2)([pi, N.N] + [N, [pi, N]]) is the test reference."""
+    [x,y]_N = [N x, y] + [x, N y] - N [x, y], on basis pairs.  The
+    deformed bracket [x,y]_N is [pi, N]_NR; `deformed` is that cochain
+    when the caller already has it.  Summed on integers over one common
+    denominator (`integer_columns`, `integer_rows`).  The graded form
+    (1/2)([pi, N.N] + [N, [pi, N]]) and the rational sum are the test
+    references."""
     dim = bracket.dim
     if n_op.shape() != (dim, dim):
         raise ValueError("operator shape does not match the algebra")
-    # the deformed bracket [x,y]_N
-    deformed = nr_bracket(bracket.to_cochain(), Cochain.from_matrix(n_op))
+    if deformed is None:
+        deformed = nr_bracket(bracket.to_cochain(), Cochain.from_matrix(n_op))
+    ln, (ncols,) = integer_columns(n_op)
+    ld, drows = deformed.integer_rows()
+    lp, prows = bracket.to_cochain().integer_rows()
+    den = lcm(ld * ln, ln * ln * lp)
     values = {}
     for i in range(dim):
         for j in range(i + 1, dim):
-            t = vsub(
-                n_op.matvec(deformed.value((i, j))),
-                bracket.bracket(n_op.column(i), n_op.column(j)),
-            )
-            values[(i, j)] = t
-    return Cochain.from_values(2, dim, dim, values)
+            acc: dict[int, int] = {}
+            add_image(acc, ncols, drows.get((i, j), ()), den // (ld * ln))
+            add_pair_value(acc, prows, ncols[i], ncols[j], -(den // (ln * ln * lp)))
+            values[(i, j)] = acc
+    return Cochain.from_integer_values(2, dim, dim, den, values)
 
 
-def is_nijenhuis(pair: CompatiblePair, n_op: Matrix) -> Verdict:
+def is_nijenhuis(
+    pair: CompatiblePair, n_op: Matrix, delta: DeformationDatum | None = None
+) -> Verdict:
     """ok iff the torsion vanishes for both brackets (by linearity of the
-    torsion in the bracket this covers every pencil)."""
+    torsion in the bracket this covers every pencil).  `delta` is
+    `_nr_coboundary(pair, n_op)`, the two deformed brackets, when the
+    caller already has it."""
+    if delta is None:
+        delta = _nr_coboundary(pair, n_op)
     return first_failure(
         [
-            ("torsion-1", nijenhuis_torsion(pair.bracket1, n_op)),
-            ("torsion-2", nijenhuis_torsion(pair.bracket2, n_op)),
+            ("torsion-1", nijenhuis_torsion(pair.bracket1, n_op, delta.omega1)),
+            ("torsion-2", nijenhuis_torsion(pair.bracket2, n_op, delta.omega2)),
         ]
     )
 
@@ -126,13 +147,15 @@ def trivial_deformation_from_nijenhuis(
 ) -> DeformationDatum:
     """The trivial deformation ([pi1, N], [pi2, N]) generated by a
     Nijenhuis operator; its class is the degree-1 coboundary of N."""
-    if not is_nijenhuis(pair, n_op):
+    delta = _nr_coboundary(pair, n_op)
+    if not is_nijenhuis(pair, n_op, delta):
         raise ValueError("operator is not Nijenhuis for this pair")
-    return _nr_coboundary(pair, n_op)
+    return delta
 
 
 def _nr_coboundary(pair: CompatiblePair, n_op: Matrix) -> DeformationDatum:
-    """([pi1, N], [pi2, N]): the degree-1 coboundary of N, by NR brackets."""
+    """([pi1, N], [pi2, N]): the degree-1 coboundary of N, by NR brackets;
+    its components are also the brackets [x,y]_N deformed by N."""
     n_c = Cochain.from_matrix(n_op)
     return DeformationDatum(
         nr_bracket(pair.bracket1.to_cochain(), n_c),
@@ -150,34 +173,34 @@ def _homomorphism_defect(bracket: LieBracket, w, w_prime, n_op: Matrix):
     form of the displayed equivalence equations (the layers are the pairs
     (w - w' = coboundary of N), (the integrality condition) and
     (w'(N.,N.) = 0)); the alignment with the trivial-deformation criterion
-    (w' = 0 recovers the Nijenhuis equations) pins the direction."""
+    (w' = 0 recovers the Nijenhuis equations) pins the direction.  Each
+    layer is summed on integers over one common denominator; the rational
+    sum is the test reference."""
     dim = bracket.dim
+    ln, (ncols,) = integer_columns(n_op)
+    lw, wrows = w.integer_rows()
+    lp, prows = bracket.to_cochain().integer_rows()
+    lv, vrows = w_prime.integer_rows()
+    den = lcm(ln * lw, ln * ln * lp, ln * lv)
     quad, cub = {}, {}
     for i in range(dim):
         for j in range(i + 1, dim):
-            ni, nj = n_op.column(i), n_op.column(j)
-            ei, ej = _basis(dim, i), _basis(dim, j)
+            ni, nj = ncols[i], ncols[j]
             # t^2: N w(x,y) - [Nx, Ny] - w'(Nx,y) - w'(x,Ny)
-            quad[(i, j)] = vsub(
-                n_op.matvec(w.value((i, j))),
-                vadd(
-                    bracket.bracket(ni, nj),
-                    vadd(
-                        w_prime.eval_vectors((ni, ej)),
-                        w_prime.eval_vectors((ei, nj)),
-                    ),
-                ),
-            )
+            acc: dict[int, int] = {}
+            add_image(acc, ncols, wrows.get((i, j), ()), den // (ln * lw))
+            add_pair_value(acc, prows, ni, nj, -(den // (ln * ln * lp)))
+            add_pair_value(acc, vrows, ni, ((j, 1),), -(den // (ln * lv)))
+            add_pair_value(acc, vrows, ((i, 1),), nj, -(den // (ln * lv)))
+            quad[(i, j)] = acc
             # t^3: -w'(Nx, Ny)
-            cub[(i, j)] = vscale(-1, w_prime.eval_vectors((ni, nj)))
-    mk = lambda v: Cochain.from_values(2, dim, dim, v)  # noqa: E731
-    return mk(quad), mk(cub)
-
-
-def _basis(dim, i):
-    v = [0] * dim
-    v[i] = 1
-    return tuple(v)
+            acc = {}
+            add_pair_value(acc, vrows, ni, nj, -1)
+            cub[(i, j)] = acc
+    return (
+        Cochain.from_integer_values(2, dim, dim, den, quad),
+        Cochain.from_integer_values(2, dim, dim, ln * ln * lv, cub),
+    )
 
 
 def deformations_equivalent(
@@ -185,6 +208,7 @@ def deformations_equivalent(
     d: DeformationDatum,
     d_prime: DeformationDatum,
     n_op: Matrix,
+    delta: DeformationDatum | None = None,
 ) -> Verdict:
     """Does Id + tN give a homomorphism from the d'-deformed pair to the
     d-deformed pair for every t?
@@ -194,11 +218,13 @@ def deformations_equivalent(
     equiv-3 say that the difference (w1 - w1', w2 - w2') is the coboundary
     ([pi1, N], [pi2, N]) that `trivial_deformation_from_nijenhuis` returns,
     so when all six hold, N itself certifies that the two classes agree.
+    `delta` is `_nr_coboundary(pair, n_op)` when the caller already has it.
     """
     dim = pair.dim
     if n_op.shape() != (dim, dim):
         raise ValueError("operator shape does not match the algebra")
-    delta = _nr_coboundary(pair, n_op)
+    if delta is None:
+        delta = _nr_coboundary(pair, n_op)
     quad1, cub1 = _homomorphism_defect(pair.bracket1, d.omega1, d_prime.omega1, n_op)
     quad2, cub2 = _homomorphism_defect(pair.bracket2, d.omega2, d_prime.omega2, n_op)
     return first_failure(

@@ -23,11 +23,14 @@ by the differentials [pi_i^ + theta_i^, -]; the three Maurer-Cartan
 identities are then the same three Jacobiators (Nijenhuis-Richardson), so
 the Maurer-Cartan verdict reads them too.
 
-Gauge transformations by a linear map xi: g -> h act on data in closed form;
-two data give isomorphic extensions exactly when one is the transform of
-the other, and the transform agrees with re-extracting along the shifted
-section.  The lifted elements, the twisted differentials and the graded and
-exponential-series forms of the gauge action are test references
+Gauge transformations by a linear map xi: g -> h act on data in closed form,
+summed on integers over one denominator per transformed cochain (xi and the
+actions cleared once by `linalg.integer_columns`, the brackets and the
+cochain read from their `integer_rows`); two data give isomorphic
+extensions exactly when one is the transform of the other, and the
+transform agrees with re-extracting along the shifted section.  The lifted
+elements, the twisted differentials, the graded and exponential-series
+forms of the gauge action and its rational sum are test references
 (`tests/oracles.py`).
 """
 
@@ -47,11 +50,10 @@ from .core import (
     RepPair,
     Verdict,
     Witness,
-    combination,
     first_failure,
 )
-from .linalg import Matrix, Vec, vadd, vsub
-from .multilinear import Cochain, nr_bracket, nr_compose
+from .linalg import Matrix, Vec, add_image, integer_columns, vsub
+from .multilinear import Cochain, add_pair_value, nr_bracket, nr_compose
 
 
 @dataclass(frozen=True)
@@ -358,29 +360,48 @@ def gauge_transform(datum: ExtensionDatum, xi: Matrix) -> ExtensionDatum:
         rho'(x) = rho(x) + ad_h(xi x)        (same with mu, AD)
         w1'(x,y) = w1(x,y) + rho(x) xi(y) - rho(y) xi(x) - xi([x,y]_g)
                    + [xi x, xi y]_h          (same with w2, {.,.})
-    """
+
+    Summed on integers: xi and the actions are cleared of denominators
+    once (`integer_columns`), the brackets and the cochain are read from
+    their `integer_rows`, each new entry is a sum of integer products over
+    one common denominator, and each nonzero Fraction is built once.  The
+    rational sum is the test reference (`tests/oracles.py`)."""
     g, h = datum.base, datum.fibre
     n, m = g.dim, h.dim
     if xi.shape() != (m, n):
         raise ValueError("xi must map the base to the fibre")
+    lx, (xcols,) = integer_columns(xi)
 
     def transform(act, w, g_br, h_br):
-        ad = h_br.ad_matrices()
-        new_act = tuple(act[i] + combination(ad, xi.column(i), m) for i in range(n))
+        la, acols = integer_columns(*act)
+        lh, hrows = h_br.to_cochain().integer_rows()
+        # rho'(e_i) column a: rho(e_i) f_a + [xi e_i, f_a]_h, over d
+        d = lcm(la, lx * lh)
+        zero = Fraction(0)
+        new_act = []
+        for i in range(n):
+            entries = [[zero] * m for _ in range(m)]
+            for a in range(m):
+                acc = {b: c * (d // la) for b, c in acols[i][a]}
+                add_pair_value(acc, hrows, xcols[i], ((a, 1),), d // (lx * lh))
+                for b, v in acc.items():
+                    if v:
+                        entries[b][a] = Fraction(v, d)
+            new_act.append(Matrix(entries))
+        # w'(e_i, e_j) over one denominator d for all five terms
+        lg, grows = g_br.to_cochain().integer_rows()
+        lw, wrows = w.integer_rows()
+        d = lcm(lw, la * lx, lg * lx, lx * lx * lh)
         values = {}
         for i in range(n):
             for j in range(i + 1, n):
-                shift = vadd(
-                    vsub(
-                        act[i].matvec(xi.column(j)), act[j].matvec(xi.column(i))
-                    ),
-                    vsub(
-                        h_br.bracket(xi.column(i), xi.column(j)),
-                        xi.matvec(g_br.bracket_basis(i, j)),
-                    ),
-                )
-                values[(i, j)] = vadd(w.value((i, j)), shift)
-        return new_act, Cochain.from_values(2, n, m, values)
+                acc = {k: c * (d // lw) for k, c in wrows.get((i, j), ())}
+                add_image(acc, acols[i], xcols[j], d // (la * lx))
+                add_image(acc, acols[j], xcols[i], -(d // (la * lx)))
+                add_image(acc, xcols, grows.get((i, j), ()), -(d // (lg * lx)))
+                add_pair_value(acc, hrows, xcols[i], xcols[j], d // (lx * lx * lh))
+                values[(i, j)] = acc
+        return tuple(new_act), Cochain.from_integer_values(2, n, m, d, values)
 
     rho2, w12 = transform(datum.rho, datum.omega1, g.bracket1, h.bracket1)
     mu2, w22 = transform(datum.mu, datum.omega2, g.bracket2, h.bracket2)
@@ -435,21 +456,16 @@ def _theta_intertwines(
 
     The check runs on integers.  theta e_p = e_p - sum_k xi[k, p] f_k has
     at most 1 + m nonzeros, kept as integer terms over the lcm L of xi's
-    denominators; theta [e_p, e_q] and [theta e_p, theta e_q]' are summed
-    from the two brackets' `integer_rows` (the datum's and the transform's,
-    each assembled once) and compared as integer dicts scaled to one
-    common denominator.  No theta matrix and no Fraction is built."""
+    denominators (`integer_columns`); theta [e_p, e_q] and
+    [theta e_p, theta e_q]' are summed from the two brackets'
+    `integer_rows` (the datum's and the transform's, each assembled once)
+    and compared as integer dicts scaled to one common denominator.  No
+    theta matrix and no Fraction is built."""
     n, m = datum.base_dim, datum.fibre_dim
     big = n + m
-    den = lcm(*(xi[k, p].denominator for k in range(m) for p in range(n)))
-    theta = []  # theta e_p as integer (index, coefficient) terms over L
-    for p in range(n):
-        col = [(p, den)]
-        for k in range(m):
-            x = xi[k, p]
-            if x:
-                col.append((n + k, -x.numerator * (den // x.denominator)))
-        theta.append(col)
+    den, (xcols,) = integer_columns(xi)
+    # theta e_p as integer terms over L
+    theta = [[(p, den)] + [(n + k, -x) for k, x in xcols[p]] for p in range(n)]
     theta += [[(n + a, den)] for a in range(m)]
     for built, built2 in zip(datum.brackets, moved.brackets):
         d1, rows1 = built.to_cochain().integer_rows()
@@ -457,17 +473,9 @@ def _theta_intertwines(
         for p in range(big):
             for q in range(p + 1, big):
                 lhs: dict[int, int] = {}  # theta [e_p, e_q], over d1 L
-                for k, c in rows1.get((p, q), ()):
-                    for t, x in theta[k]:
-                        lhs[t] = lhs.get(t, 0) + c * x
+                add_image(lhs, theta, rows1.get((p, q), ()))
                 rhs: dict[int, int] = {}  # [theta e_p, theta e_q]', over d2 L^2
-                for i, a in theta[p]:
-                    for j, b in theta[q]:
-                        if i == j:
-                            continue
-                        key, ab = ((i, j), a * b) if i < j else ((j, i), -a * b)
-                        for t, c in rows2.get(key, ()):
-                            rhs[t] = rhs.get(t, 0) + ab * c
+                add_pair_value(rhs, rows2, theta[p], theta[q])
                 # lhs / (d1 L) = rhs / (d2 L^2)  iff  lhs d2 L = rhs d1
                 if _scaled(lhs, d2 * den) != _scaled(rhs, d1):
                     raise InternalCheckError(

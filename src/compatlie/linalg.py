@@ -66,6 +66,31 @@ def _primitive(row: list[int]) -> list[int]:
     return row if g <= 1 else [x // g for x in row]
 
 
+def integer_columns(*mats: Matrix) -> tuple[int, list]:
+    """(L, per matrix its columns): the matrices times L, the lcm of the
+    denominators of all their entries, each column kept as the integer
+    terms [(row, L x), ...] of its nonzero entries."""
+    den = lcm(*(x.denominator for m in mats for r in m._a for x in r))
+    out = []
+    for m in mats:
+        cols = [[] for _ in range(m.cols)]
+        for i, r in enumerate(m._a):
+            for j, x in enumerate(r):
+                if x:
+                    cols[j].append((i, x.numerator * (den // x.denominator)))
+        out.append(cols)
+    return den, out
+
+
+def add_image(acc: dict[int, int], cols, terms, factor: int = 1) -> None:
+    """acc += factor * sum x cols[k] over the integer terms (k, x) of a
+    vector: a map given by integer columns applied on integers."""
+    for k, x in terms:
+        fx = factor * x
+        for t, c in cols[k]:
+            acc[t] = acc.get(t, 0) + fx * c
+
+
 class Matrix:
     """Immutable dense matrix of Fractions."""
 

@@ -97,7 +97,8 @@ class Cochain:
     @classmethod
     def _raw(cls, arity: int, source_dim: int, target_dim: int, coeffs) -> "Cochain":
         # internal: a finished table of increasing in-range subsets and
-        # nonzero Fractions, stored as given without re-validation
+        # nonzero Fractions, stored as given without re-validation (the
+        # scatter of `nr_compose` and `from_integer_values`)
         f = cls.__new__(cls)
         f.arity, f.source_dim, f.target_dim = arity, source_dim, target_dim
         f.coeffs = coeffs
@@ -115,6 +116,28 @@ class Cochain:
             for k, c in enumerate(v):
                 coeffs[(tuple(subset), k)] = c
         return cls(arity, source_dim, target_dim, coeffs)
+
+    @classmethod
+    def from_integer_values(
+        cls, arity, source_dim, target_dim, den: int, values
+    ) -> "Cochain":
+        """values: mapping increasing subset -> {target index: integer},
+        read as integers over the one denominator `den`.  Each nonzero
+        Fraction is built once, in the order of `from_values`."""
+        coeffs = {}
+        for subset, acc in values.items():
+            if len(subset) != arity or any(
+                a >= b for a, b in zip(subset, subset[1:])
+            ):
+                raise ValueError(f"subset {subset} is not increasing of size {arity}")
+            if subset and not 0 <= subset[0] <= subset[-1] < source_dim:
+                raise ValueError("index out of range")
+            for k, v in sorted(acc.items()):
+                if v:
+                    if not 0 <= k < target_dim:
+                        raise ValueError("index out of range")
+                    coeffs[(subset, k)] = Fraction(v, den)
+        return cls._raw(arity, source_dim, target_dim, coeffs)
 
     @classmethod
     def from_matrix(cls, m: Matrix) -> "Cochain":
@@ -287,6 +310,24 @@ class Cochain:
         return None
 
 
+def add_pair_value(acc: dict[int, int], rows, u, v, factor: int = 1) -> None:
+    """acc += factor * f(u, v) on integers, for an arity-2 cochain f given
+    by the rows of `Cochain.integer_rows` and vectors u, v given by their
+    integer terms [(index, x), ...]; f alternates, so a repeated index
+    adds nothing."""
+    for a, x in u:
+        fx = factor * x
+        for b, y in v:
+            if a < b:
+                row, c = rows.get((a, b), ()), fx * y
+            elif a > b:
+                row, c = rows.get((b, a), ()), -fx * y
+            else:
+                continue
+            for t, d in row:
+                acc[t] = acc.get(t, 0) + c * d
+
+
 # -- Nijenhuis-Richardson bracket ----------------------------------------------
 
 
@@ -339,12 +380,15 @@ def nr_compose(p: Cochain, q: Cochain) -> Cochain:
 def nr_bracket(p: Cochain, q: Cochain) -> Cochain:
     """[P,Q]_NR = P.Q - (-1)^{pq} Q.P with degrees p = arity(P)-1 etc."""
     pq = (p.arity - 1) * (q.arity - 1)
+    if p is q and pq % 2 == 0:
+        # Q.P is P.P again, so [P, P] vanishes in even degree (arity >= 1)
+        if p.source_dim != p.target_dim:
+            raise ValueError("nr_compose needs endomorphism-valued cochains")
+        return Cochain.zero(2 * p.arity - 1, p.source_dim, p.source_dim)
     left = nr_compose(p, q)
     if p is q:
-        # Q.P is P.P again: [P, P] is 2 P.P in odd degree, zero in even
-        if pq % 2:
-            return left + left
-        return Cochain.zero(left.arity, left.source_dim, left.target_dim)
+        # and 2 P.P in odd degree
+        return left + left
     right = nr_compose(q, p)
     return left - right if pq % 2 == 0 else left + right
 

@@ -10,8 +10,10 @@ on every index tuple), the rational scatter the integer `nr_compose`
 replaced, the rational evaluation the integer `Cochain.eval_vectors`
 replaced, the rational Gauss-Jordan the integer `Matrix.rref` replaced, a
 fraction-free (Bareiss) rank, the entrywise assembly of the direct-sum
-brackets, and the staircase and hand-expanded forms of the deformation
-checks.  Nothing in `compatlie` imports this module.
+brackets, the staircase and hand-expanded forms of the deformation
+checks, and the rational sums the integer gauge transform, Nijenhuis
+torsion and equivalence layers replaced.  Nothing in `compatlie` imports
+this module.
 """
 
 from dataclasses import dataclass
@@ -414,7 +416,7 @@ def hand_expanded_layers(bracket: LieBracket, w, w_prime, n_op: Matrix):
 
     [.,.]_t deformed by w and [.,.]'_t by w', expanded on basis pairs."""
     dim = bracket.dim
-    lin, quad, cub = {}, {}, {}
+    lin = {}
     for i in range(dim):
         for j in range(i + 1, dim):
             ni, nj = n_op.column(i), n_op.column(j)
@@ -427,20 +429,8 @@ def hand_expanded_layers(bracket: LieBracket, w, w_prime, n_op: Matrix):
                     w_prime.value((i, j)),
                 ),
             )
-            # t^2: N w(x,y) - [Nx, Ny] - w'(Nx,y) - w'(x,Ny)
-            quad[(i, j)] = vsub(
-                n_op.matvec(w.value((i, j))),
-                vadd(
-                    bracket.bracket(ni, nj),
-                    vadd(
-                        w_prime.eval_vectors((ni, ej)),
-                        w_prime.eval_vectors((ei, nj)),
-                    ),
-                ),
-            )
-            # t^3: -w'(Nx, Ny)
-            cub[(i, j)] = vscale(-1, w_prime.eval_vectors((ni, nj)))
-    return tuple(Cochain.from_values(2, dim, dim, v) for v in (lin, quad, cub))
+    quad, cub = homomorphism_defect_fraction(bracket, w, w_prime, n_op)
+    return Cochain.from_values(2, dim, dim, lin), quad, cub
 
 
 def hand_expanded_equivalence_verdict(
@@ -462,6 +452,52 @@ def hand_expanded_equivalence_verdict(
             ("equiv-6: w2'(N.,N.) = 0", cub2),
         ]
     )
+
+
+def nijenhuis_torsion_fraction(bracket: LieBracket, n_op: Matrix) -> Cochain:
+    """The torsion N([x,y]_N) - [N x, N y] summed on Fraction vectors: the
+    reference for the integer sum of `deformation.nijenhuis_torsion`."""
+    dim = bracket.dim
+    if n_op.shape() != (dim, dim):
+        raise ValueError("operator shape does not match the algebra")
+    # the deformed bracket [x,y]_N
+    deformed = nr_bracket(bracket.to_cochain(), Cochain.from_matrix(n_op))
+    values = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            t = vsub(
+                n_op.matvec(deformed.value((i, j))),
+                bracket.bracket(n_op.column(i), n_op.column(j)),
+            )
+            values[(i, j)] = t
+    return Cochain.from_values(2, dim, dim, values)
+
+
+def homomorphism_defect_fraction(bracket: LieBracket, w, w_prime, n_op: Matrix):
+    """The t^2 and t^3 layers of the homomorphism identity summed on
+    Fraction vectors: the reference for the integer sums of
+    `deformation._homomorphism_defect`."""
+    dim = bracket.dim
+    quad, cub = {}, {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            ni, nj = n_op.column(i), n_op.column(j)
+            ei, ej = _unit(dim, i), _unit(dim, j)
+            # t^2: N w(x,y) - [Nx, Ny] - w'(Nx,y) - w'(x,Ny)
+            quad[(i, j)] = vsub(
+                n_op.matvec(w.value((i, j))),
+                vadd(
+                    bracket.bracket(ni, nj),
+                    vadd(
+                        w_prime.eval_vectors((ni, ej)),
+                        w_prime.eval_vectors((ei, nj)),
+                    ),
+                ),
+            )
+            # t^3: -w'(Nx, Ny)
+            cub[(i, j)] = vscale(-1, w_prime.eval_vectors((ni, nj)))
+    mk = lambda v: Cochain.from_values(2, dim, dim, v)  # noqa: E731
+    return mk(quad), mk(cub)
 
 
 # -- extensions in the graded algebra of the direct sum ----------------------------------
@@ -607,6 +643,38 @@ def gauge_transform_series(
     rho2, w12 = _split_mc_element(one_side(p1, a1), n, m)
     mu2, w22 = _split_mc_element(one_side(p2, a2), n, m)
     return ExtensionDatum(datum.base, datum.fibre, rho2, mu2, w12, w22)
+
+
+def gauge_transform_fraction(datum: ExtensionDatum, xi: Matrix) -> ExtensionDatum:
+    """The closed-form gauge action summed on Fraction vectors and
+    matrices: the reference for the integer sums of
+    `extension.gauge_transform`."""
+    g, h = datum.base, datum.fibre
+    n, m = g.dim, h.dim
+    if xi.shape() != (m, n):
+        raise ValueError("xi must map the base to the fibre")
+
+    def transform(act, w, g_br, h_br):
+        ad = h_br.ad_matrices()
+        new_act = tuple(act[i] + combination(ad, xi.column(i), m) for i in range(n))
+        values = {}
+        for i in range(n):
+            for j in range(i + 1, n):
+                shift = vadd(
+                    vsub(
+                        act[i].matvec(xi.column(j)), act[j].matvec(xi.column(i))
+                    ),
+                    vsub(
+                        h_br.bracket(xi.column(i), xi.column(j)),
+                        xi.matvec(g_br.bracket_basis(i, j)),
+                    ),
+                )
+                values[(i, j)] = vadd(w.value((i, j)), shift)
+        return new_act, Cochain.from_values(2, n, m, values)
+
+    rho2, w12 = transform(datum.rho, datum.omega1, g.bracket1, h.bracket1)
+    mu2, w22 = transform(datum.mu, datum.omega2, g.bracket2, h.bracket2)
+    return ExtensionDatum(g, h, rho2, mu2, w12, w22)
 
 
 def difference_equations_verdict(

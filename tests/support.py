@@ -273,3 +273,62 @@ def rand_document(rng: Random) -> AlgebraDocument:
         ops=ops,
         cochains=tuple(cochains),
     )
+
+
+# -- wide raw material for the integer routes ---------------------------------
+
+
+def rand_wide_fraction(rng: Random) -> Fraction:
+    """Zero, a rational with one of several denominators, or an entry near
+    2^80 over a denominator near 2^80."""
+    r = rng.random()
+    if r < 0.35:
+        return Fraction(0)
+    if r < 0.9:
+        return rand_rational(rng)
+    big = 2**80 + rng.randint(-9, 9)
+    return Fraction(rng.choice((-1, 1)) * big, 2**80 + rng.randint(1, 9))
+
+
+def rand_wide_matrix(rng: Random, rows: int, cols: int) -> Matrix:
+    return Matrix(
+        [[rand_wide_fraction(rng) for _ in range(cols)] for _ in range(rows)]
+    )
+
+
+def rand_wide_cochain(rng: Random, dim: int, target_dim: int) -> Cochain:
+    """An arity-2 cochain with `rand_wide_fraction` values."""
+    from itertools import combinations
+
+    return Cochain(
+        2,
+        dim,
+        target_dim,
+        {
+            (s, k): rand_wide_fraction(rng)
+            for s in combinations(range(dim), 2)
+            for k in range(target_dim)
+        },
+    )
+
+
+# a nonabelian catalog-style algebra of each dimension 1-5
+_WIDE_CATALOG = {
+    1: lambda: LieBracket.zero(1),
+    2: n2,
+    3: sl2,
+    4: lambda: direct_sum(n2(), n2()),
+    5: lambda: direct_sum(sl2(), n2()),
+}
+
+
+def rand_wide_bracket(rng: Random, dim: int, kind: str) -> LieBracket:
+    """kind "zero": the abelian bracket; "random": an antisymmetric
+    bracket with `rand_wide_fraction` constants (Lie only by accident);
+    "dense": the catalog algebra of that dimension conjugated by
+    `rand_invertible`."""
+    if kind == "zero":
+        return LieBracket.zero(dim)
+    if kind == "dense":
+        return _WIDE_CATALOG[dim]().conjugate(rand_invertible(rng, dim))
+    return LieBracket.from_cochain(rand_wide_cochain(rng, dim, dim))

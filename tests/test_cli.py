@@ -5,7 +5,7 @@ import io
 import json
 from pathlib import Path
 
-from compatlie import cli, cohomology, extension, poisson
+from compatlie import cli, cohomology, extension, multilinear, poisson
 from compatlie.cli import main
 from compatlie.core import InternalCheckError
 from compatlie.extension import ExtensionDatum
@@ -432,6 +432,29 @@ def test_extend_xi_transforms_once(capsys, monkeypatch):
         assert len(calls) == 1, argv
         verdicts = {v["name"]: v["ok"] for v in json.loads(out)["verdicts"]}
         assert verdicts["isomorphic-under-xi"], argv
+
+
+def test_deform_nijenhuis_builds_the_nr_coboundary_once(capsys, monkeypatch):
+    # [pi_i, N]_NR is both the torsion's deformed bracket and the t layer
+    # of the equivalence: 4 pair checks + 12 deformation identities + 4 for
+    # [pi_i, N]_NR make 20 compositions (24 when it was built twice)
+    monkeypatch.chdir(DATA)
+    calls = []
+    compose = multilinear.nr_compose
+
+    def counted(p, q):
+        calls.append((p.arity, q.arity))
+        return compose(p, q)
+
+    monkeypatch.setattr(multilinear, "nr_compose", counted)
+    monkeypatch.setattr(extension, "nr_compose", counted)
+    argv = ("deform", "n2.alg", "--omega", "w", "--nijenhuis", "N", "--format", "json")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    verdicts = {v["name"]: v["ok"] for v in json.loads(out)["verdicts"]}
+    assert verdicts["nijenhuis-operator"] and verdicts["trivial-via-operator"]
+    assert len(calls) == 20
+    assert calls.count((2, 1)) + calls.count((1, 2)) == 4
 
 
 def test_extend_xi_assembles_each_datum_once(capsys, monkeypatch):

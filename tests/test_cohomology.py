@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -478,6 +479,19 @@ def test_non_representation_raises_under_python_O():
             "reduced raised",
             "slice raised",
         ]
+
+
+def test_library_has_no_assert_statements():
+    # an assert vanishes under -O, so no check in the library may be one
+    src = Path(__file__).resolve().parent.parent / "src" / "compatlie"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert len(list(src.rglob("*.py"))) >= 10
+    assert found == []
 
 
 # -- metamorphic checks on random pairs --------------------------------------

@@ -7,6 +7,7 @@ from compatlie.cohomology import CochainTuple, staircase_coboundary
 from compatlie.core import CompatiblePair, LieBracket, pencil, validate_pair
 from compatlie.deformation import (
     DeformationDatum,
+    _homomorphism_defect,
     cohomology_obstruction,
     deformations_equivalent,
     deformed_pair,
@@ -17,7 +18,12 @@ from compatlie.deformation import (
 )
 from compatlie.linalg import Matrix, vec
 from compatlie.multilinear import Cochain, nr_bracket, nr_compose
-from oracles import hand_expanded_equivalence_verdict, staircase_deformation_verdict
+from oracles import (
+    hand_expanded_equivalence_verdict,
+    homomorphism_defect_fraction,
+    nijenhuis_torsion_fraction,
+    staircase_deformation_verdict,
+)
 from support import (
     heisenberg3,
     n2,
@@ -27,6 +33,9 @@ from support import (
     rand_compatible_pair,
     rand_fraction,
     rand_matrix,
+    rand_wide_bracket,
+    rand_wide_cochain,
+    rand_wide_matrix,
     r3_solvable,
     sl2,
 )
@@ -385,3 +394,35 @@ def test_equivalence_equals_the_hand_expanded_layers():
     assert laws == {"ok"} | {f"equiv-{k}" for k in range(1, 7)}
     zero = [dp.omega1.is_zero() and dp.omega2.is_zero() for _, _, dp, _ in cases]
     assert zero.count(False) >= 25
+
+
+def same_storage(a: Cochain, b: Cochain) -> bool:
+    return a == b and list(a.coeffs.items()) == list(b.coeffs.items())
+
+
+def test_torsion_and_defect_layers_equal_the_fraction_sums():
+    # equal cochains in the same storage order as the rational sums, on
+    # dims 1-5, zero, random and conjugated catalog brackets, mixed
+    # denominators, entries near 2^80, N = 0 and w' = 0 or not
+    rng = Random(47)
+    kinds = ("zero", "random", "dense")
+    nonzero = {"torsion": 0, "quad": 0, "cub": 0}
+    for dim in range(1, 6):
+        for case in range(6):
+            b = rand_wide_bracket(rng, dim, kinds[(dim + case) % 3])
+            n_op = rand_wide_matrix(rng, dim, dim) if case else Matrix.zeros(dim, dim)
+            w = rand_wide_cochain(rng, dim, dim)
+            w_prime = rand_wide_cochain(rng, dim, dim)
+            if case == 1:
+                w_prime = Cochain.zero(2, dim, dim)
+            torsion = nijenhuis_torsion(b, n_op)
+            assert same_storage(torsion, nijenhuis_torsion_fraction(b, n_op))
+            deformed = nr_bracket(b.to_cochain(), Cochain.from_matrix(n_op))
+            assert same_storage(nijenhuis_torsion(b, n_op, deformed), torsion)
+            quad, cub = _homomorphism_defect(b, w, w_prime, n_op)
+            quad_want, cub_want = homomorphism_defect_fraction(b, w, w_prime, n_op)
+            assert same_storage(quad, quad_want) and same_storage(cub, cub_want)
+            nonzero["torsion"] += not torsion.is_zero()
+            nonzero["quad"] += not quad.is_zero()
+            nonzero["cub"] += not cub.is_zero()
+    assert min(nonzero.values()) >= 8

@@ -35,6 +35,7 @@ from compatlie.multilinear import Cochain, ce_coboundary, nr_bracket
 from oracles import (
     assemble_brackets_entrywise,
     difference_equations_verdict,
+    gauge_transform_fraction,
     gauge_transform_nr,
     gauge_transform_series,
     lifted_maurer_cartan_verdict,
@@ -48,6 +49,9 @@ from support import (
     rand_fraction,
     rand_matrix,
     rand_rep,
+    rand_wide_bracket,
+    rand_wide_cochain,
+    rand_wide_matrix,
 )
 
 # -- fixtures ----------------------------------------------------------------
@@ -760,12 +764,69 @@ def test_gauge_preserves_validity_and_inverts():
         xi = rand_matrix(rng, datum.fibre_dim, datum.base_dim, -1, 1)
         moved = gauge_transform(datum, xi)
         assert validate_extension_datum(moved).ok
-        # gauge by -xi comes back exactly when the fibre is abelian
-        if h.bracket1.is_zero() and h.bracket2.is_zero():
-            back = gauge_transform(moved, xi.scale(-1))
-            assert back == datum
-        # in general the built extensions stay isomorphic
+        # the closed form is an action of (Hom(g, h), +), so gauging by -xi
+        # comes back for every fibre, abelian or not
+        assert gauge_transform(moved, xi.scale(-1)) == datum
         assert extensions_isomorphic_under(datum, moved, xi).ok
+
+
+def wide_datum(rng: Random, n: int, m: int, fibre_kind: str) -> ExtensionDatum:
+    """Unvalidated data (the closed form needs no validity): base brackets
+    of any kind, fibre brackets of `fibre_kind`, wide actions and cochains."""
+    kinds = ("zero", "random", "dense")
+    g = CompatiblePair.unchecked(
+        rand_wide_bracket(rng, n, rng.choice(kinds)),
+        rand_wide_bracket(rng, n, rng.choice(kinds)),
+    )
+    h = CompatiblePair.unchecked(
+        rand_wide_bracket(rng, m, fibre_kind), rand_wide_bracket(rng, m, fibre_kind)
+    )
+    rho, mu = (tuple(rand_wide_matrix(rng, m, m) for _ in range(n)) for _ in range(2))
+    w1, w2 = rand_wide_cochain(rng, n, m), rand_wide_cochain(rng, n, m)
+    return ExtensionDatum(g, h, rho, mu, w1, w2)
+
+
+def test_gauge_composes_additively():
+    # T_xi2 T_xi1 = T_(xi1 + xi2) and T_-xi T_xi = Id on valid data with
+    # nonabelian fibres and on unvalidated wide data
+    rng = Random(131)
+    nonabelian = 0
+    for case in range(24):
+        if case % 2:
+            n, m = rng.randint(1, 3), rng.randint(2, 3)
+            datum = wide_datum(rng, n, m, ("random", "dense")[case % 4 // 2])
+        else:
+            g = rand_compatible_pair(rng, 2)
+            datum = product_datum(g, rand_compatible_pair(rng, rng.randint(2, 3)))
+            n, m = datum.base_dim, datum.fibre_dim
+        h = datum.fibre
+        nonabelian += not (h.bracket1.is_zero() and h.bracket2.is_zero())
+        xi1, xi2 = rand_matrix(rng, m, n), rand_matrix(rng, m, n)
+        once = gauge_transform(datum, xi1)
+        assert gauge_transform(once, xi2) == gauge_transform(datum, xi1 + xi2)
+        assert gauge_transform(once, xi1.scale(-1)) == datum
+    assert nonabelian >= 20
+
+
+def test_gauge_transform_equals_the_fraction_sum():
+    # equal data and the same storage order as the rational sum, on base
+    # and fibre dims 1-5, abelian, random and conjugated catalog fibres,
+    # mixed denominators, entries near 2^80 and xi = 0
+    rng = Random(137)
+    kinds = ("zero", "random", "dense")
+    moved_cochains = 0
+    for n in range(1, 6):
+        for m in range(1, 6):
+            for case in range(3):
+                datum = wide_datum(rng, n, m, kinds[(n + m + case) % 3])
+                xi = Matrix.zeros(m, n) if case == 0 else rand_wide_matrix(rng, m, n)
+                got = gauge_transform(datum, xi)
+                want = gauge_transform_fraction(datum, xi)
+                assert got == want
+                for w, w_want in ((got.omega1, want.omega1), (got.omega2, want.omega2)):
+                    assert list(w.coeffs.items()) == list(w_want.coeffs.items())
+                moved_cochains += got.omega1 != datum.omega1
+    assert moved_cochains >= 20
 
 
 def scaled_semidirect_datum():

@@ -2,6 +2,9 @@ from fractions import Fraction
 from itertools import permutations
 from random import Random
 
+import pytest
+
+from compatlie import multilinear
 from compatlie.core import LieBracket, adjoint_rep, CompatiblePair
 from compatlie.linalg import Matrix, vec, vzero
 from compatlie.multilinear import Cochain, ce_coboundary, nr_bracket, nr_compose
@@ -293,6 +296,31 @@ def test_self_bracket_equals_two_composition_formula():
             seen.add((pp % 2, got.is_zero()))
     # even degree gives zero; odd degree gives nonzero results too
     assert seen >= {(0, True), (1, False)}
+
+
+def test_even_degree_self_bracket_composes_nothing(monkeypatch):
+    # [P, P] = P.P - P.P vanishes in even degree (odd arity) and is returned
+    # without composing; odd degree composes once
+    calls = []
+    compose = multilinear.nr_compose
+
+    def counted(p, q):
+        calls.append((p.arity, q.arity))
+        return compose(p, q)
+
+    monkeypatch.setattr(multilinear, "nr_compose", counted)
+    rng = Random(19)
+    for arity in range(5):
+        p = rand_cochain(rng, arity, 3)
+        calls.clear()
+        got = nr_bracket(p, p)
+        if arity % 2:
+            assert got == Cochain.zero(2 * arity - 1, 3, 3) and calls == []
+        else:
+            assert calls == [(arity, arity)]
+    # the shape check still holds without the composition
+    with pytest.raises(ValueError, match="endomorphism-valued"):
+        nr_bracket(*[Cochain(1, 2, 3, {((0,), 2): 1})] * 2)
 
 
 def test_graded_jacobi_random():
