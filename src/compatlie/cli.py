@@ -38,7 +38,6 @@ from .core import (
     InternalCheckError,
     LieBracket,
     Verdict,
-    jacobiator,
     pencil,
     validate_bracket,
     validate_pair,
@@ -184,11 +183,9 @@ class Report:
 
 def _cmd_check(doc: AlgebraDocument, args, report: Report):
     b1, b2 = doc.bracket1(), doc.bracket2()
-    # each Jacobiator once: the pair verdict reuses the brackets' own
-    jacobi = jacobiator(b1), jacobiator(b2)
-    report.verdict("bracket1-jacobi", validate_bracket(b1, jacobi[0]))
-    report.verdict("bracket2-jacobi", validate_bracket(b2, jacobi[1]))
-    v_pair = validate_pair(b1, b2, jacobi)
+    report.verdict("bracket1-jacobi", validate_bracket(b1))
+    report.verdict("bracket2-jacobi", validate_bracket(b2))
+    v_pair = validate_pair(b1, b2)
     report.verdict("pair-compatible", v_pair)
     rep = doc.rep_pair()
     if rep is not None and v_pair.ok:

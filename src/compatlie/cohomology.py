@@ -373,10 +373,7 @@ def reduced_cohomology_dims(
         _check_anticommute(n, *arms[n], *arms[n + 1])
         d1, d2 = arms[n]
         k = d1.cols - d1.rank()
-        stacked = Matrix.from_columns(
-            [a + b for a, b in zip(d1.columns(), d2.columns())],
-            rows=d1.rows + d2.rows,
-        )
+        stacked = Matrix._raw(d1._a + d2._a, d1.rows + d2.rows, d1.cols)
         z = d1.cols - stacked.rank()
         out.append((k, z - (k_prev - z_prev)))
         k_prev, z_prev = k, z

@@ -72,9 +72,10 @@ def first_failure(checks) -> Verdict:
 class LieBracket:
     """An antisymmetric bilinear bracket on Q^dim given by structure
     constants; antisymmetry is structural (only i < j stored), the Jacobi
-    identity is what `validate_bracket` checks."""
+    identity is what `validate_bracket` checks.  A bracket is immutable, so
+    its Jacobiator is computed on first use and kept (`jacobiator`)."""
 
-    __slots__ = ("dim", "_c")
+    __slots__ = ("dim", "_c", "_jac")
 
     def __init__(self, dim: int, entries=None):
         """entries: mapping (i, j, k) -> coefficient with 0-based i < j,
@@ -166,35 +167,35 @@ def _inverse(g: Matrix) -> Matrix:
 
 
 def jacobiator(b: LieBracket) -> Cochain:
-    """[pi, pi]_NR, which vanishes exactly when b is a Lie bracket."""
-    p = b.to_cochain()
-    return nr_bracket(p, p)
+    """[pi, pi]_NR, which vanishes exactly when b is a Lie bracket;
+    computed once per bracket and kept on it."""
+    try:
+        return b._jac
+    except AttributeError:
+        p = b.to_cochain()
+        b._jac = nr_bracket(p, p)
+        return b._jac
 
 
-def validate_bracket(b: LieBracket, jacobi: Cochain | None = None) -> Verdict:
+def validate_bracket(b: LieBracket) -> Verdict:
     """ok iff [pi, pi]_NR = 0; otherwise the first basis triple where the
-    Jacobiator does not vanish, with its value.  `jacobi` is
-    `jacobiator(b)` when the caller already has it."""
-    return first_failure([("jacobi", jacobiator(b) if jacobi is None else jacobi)])
+    Jacobiator does not vanish, with its value."""
+    return first_failure([("jacobi", jacobiator(b))])
 
 
-def validate_pair(
-    b1: LieBracket, b2: LieBracket, jacobi: tuple[Cochain, Cochain] | None = None
-) -> Verdict:
+def validate_pair(b1: LieBracket, b2: LieBracket) -> Verdict:
     """ok iff both brackets are Lie and the mixed bracket [pi1, pi2]_NR
-    vanishes, so that every pencil k1*pi1 + k2*pi2 is a Lie bracket.
-    `jacobi` is (jacobiator(b1), jacobiator(b2)) when the caller already
-    has them; the rest is computed only while the earlier laws hold."""
+    vanishes, so that every pencil k1*pi1 + k2*pi2 is a Lie bracket.  Each
+    law is computed only while the earlier ones hold; the Jacobiators are
+    the brackets' kept ones."""
     if b1.dim != b2.dim:
         raise ValueError("brackets live on spaces of different dimension")
-    p1, p2 = b1.to_cochain(), b2.to_cochain()
-    known = dict(zip(("jacobi-1", "jacobi-2"), jacobi or ()))
     return first_failure(
-        (law, known[law] if law in known else nr_bracket(p, q))
-        for law, p, q in (
-            ("jacobi-1", p1, p1),
-            ("jacobi-2", p2, p2),
-            ("mixed-jacobi", p1, p2),
+        (law, jacobiator(b) if b is c else nr_bracket(b.to_cochain(), c.to_cochain()))
+        for law, b, c in (
+            ("jacobi-1", b1, b1),
+            ("jacobi-2", b2, b2),
+            ("mixed-jacobi", b1, b2),
         )
     )
 

@@ -21,8 +21,10 @@ coboundary of N; its components are also the brackets [x,y]_N the torsion
 is built from, and the equivalence equations read their linear layer off
 the same NR coboundary, so a caller that runs both checks computes it once
 and hands it to each.  The torsion and the t^2, t^3 layers of the
-equivalence are summed on integers over one denominator per cochain
-(`linalg.integer_columns`, `Cochain.integer_rows`).  The staircase forms of
+equivalence are summed on integers over one denominator per cochain: N
+by `linalg.integer_columns` and `linalg.add_image`, the brackets by their
+`Cochain.integer_rows` and `multilinear.add_value`, and the result built by
+`Cochain.from_integer_values`.  The staircase forms of
 both checks (the closure of (w1, w2), the coboundary of N and the
 hand-expanded linear layer) and the rational sums are test references
 (`tests/oracles.py`).  Only the preimage solve `cohomology_obstruction`
@@ -37,7 +39,7 @@ from math import lcm
 from .cohomology import CochainTuple, coboundary_preimage
 from .core import CompatiblePair, LieBracket, Verdict, first_failure
 from .linalg import Matrix, add_image, integer_columns
-from .multilinear import Cochain, add_pair_value, nr_bracket
+from .multilinear import Cochain, add_value, nr_bracket
 
 
 @dataclass(frozen=True)
@@ -120,7 +122,7 @@ def nijenhuis_torsion(
         for j in range(i + 1, dim):
             acc: dict[int, int] = {}
             add_image(acc, ncols, drows.get((i, j), ()), den // (ld * ln))
-            add_pair_value(acc, prows, ncols[i], ncols[j], -(den // (ln * ln * lp)))
+            add_value(acc, prows, (ncols[i], ncols[j]), -(den // (ln * ln * lp)))
             values[(i, j)] = acc
     return Cochain.from_integer_values(2, dim, dim, den, values)
 
@@ -189,13 +191,13 @@ def _homomorphism_defect(bracket: LieBracket, w, w_prime, n_op: Matrix):
             # t^2: N w(x,y) - [Nx, Ny] - w'(Nx,y) - w'(x,Ny)
             acc: dict[int, int] = {}
             add_image(acc, ncols, wrows.get((i, j), ()), den // (ln * lw))
-            add_pair_value(acc, prows, ni, nj, -(den // (ln * ln * lp)))
-            add_pair_value(acc, vrows, ni, ((j, 1),), -(den // (ln * lv)))
-            add_pair_value(acc, vrows, ((i, 1),), nj, -(den // (ln * lv)))
+            add_value(acc, prows, (ni, nj), -(den // (ln * ln * lp)))
+            add_value(acc, vrows, (ni, ((j, 1),)), -(den // (ln * lv)))
+            add_value(acc, vrows, (((i, 1),), nj), -(den // (ln * lv)))
             quad[(i, j)] = acc
             # t^3: -w'(Nx, Ny)
             acc = {}
-            add_pair_value(acc, vrows, ni, nj, -1)
+            add_value(acc, vrows, (ni, nj), -1)
             cub[(i, j)] = acc
     return (
         Cochain.from_integer_values(2, dim, dim, den, quad),

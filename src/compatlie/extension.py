@@ -24,9 +24,11 @@ identities are then the same three Jacobiators (Nijenhuis-Richardson), so
 the Maurer-Cartan verdict reads them too.
 
 Gauge transformations by a linear map xi: g -> h act on data in closed form,
-summed on integers over one denominator per transformed cochain (xi and the
-actions cleared once by `linalg.integer_columns`, the brackets and the
-cochain read from their `integer_rows`); two data give isomorphic
+summed on integers over one denominator per transformed cochain: xi and the
+actions are cleared once by `linalg.integer_columns` and applied by
+`linalg.add_image`, the brackets and the cochain are read from their
+`integer_rows` and evaluated by `multilinear.add_value`, and the new
+cochain is built by `Cochain.from_integer_values`; two data give isomorphic
 extensions exactly when one is the transform of the other, and the
 transform agrees with re-extracting along the shifted section.  The lifted
 elements, the twisted differentials, the graded and exponential-series
@@ -53,7 +55,7 @@ from .core import (
     first_failure,
 )
 from .linalg import Matrix, Vec, add_image, integer_columns, vsub
-from .multilinear import Cochain, add_pair_value, nr_bracket, nr_compose
+from .multilinear import Cochain, add_value, nr_bracket, nr_compose
 
 
 @dataclass(frozen=True)
@@ -383,7 +385,7 @@ def gauge_transform(datum: ExtensionDatum, xi: Matrix) -> ExtensionDatum:
             entries = [[zero] * m for _ in range(m)]
             for a in range(m):
                 acc = {b: c * (d // la) for b, c in acols[i][a]}
-                add_pair_value(acc, hrows, xcols[i], ((a, 1),), d // (lx * lh))
+                add_value(acc, hrows, (xcols[i], ((a, 1),)), d // (lx * lh))
                 for b, v in acc.items():
                     if v:
                         entries[b][a] = Fraction(v, d)
@@ -399,7 +401,7 @@ def gauge_transform(datum: ExtensionDatum, xi: Matrix) -> ExtensionDatum:
                 add_image(acc, acols[i], xcols[j], d // (la * lx))
                 add_image(acc, acols[j], xcols[i], -(d // (la * lx)))
                 add_image(acc, xcols, grows.get((i, j), ()), -(d // (lg * lx)))
-                add_pair_value(acc, hrows, xcols[i], xcols[j], d // (lx * lx * lh))
+                add_value(acc, hrows, (xcols[i], xcols[j]), d // (lx * lx * lh))
                 values[(i, j)] = acc
         return tuple(new_act), Cochain.from_integer_values(2, n, m, d, values)
 
@@ -475,7 +477,7 @@ def _theta_intertwines(
                 lhs: dict[int, int] = {}  # theta [e_p, e_q], over d1 L
                 add_image(lhs, theta, rows1.get((p, q), ()))
                 rhs: dict[int, int] = {}  # [theta e_p, theta e_q]', over d2 L^2
-                add_pair_value(rhs, rows2, theta[p], theta[q])
+                add_value(rhs, rows2, (theta[p], theta[q]))
                 # lhs / (d1 L) = rhs / (d2 L^2)  iff  lhs d2 L = rhs d1
                 if _scaled(lhs, d2 * den) != _scaled(rhs, d1):
                     raise InternalCheckError(

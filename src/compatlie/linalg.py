@@ -13,6 +13,10 @@ rows (each row cleared of denominators and kept primitive, fraction-free
 Gauss-Jordan in the manner of Bareiss), and the Fractions of the result are
 built once at the end; the rational Gauss-Jordan it replaced is the test
 reference (`tests/oracles.py`).
+
+`cleared` is the one place where rationals become integers over a common
+denominator, for `rref`, for `integer_columns` (applied by `add_image`) and
+for the cochain rows and arguments of `multilinear`.
 """
 
 from __future__ import annotations
@@ -54,10 +58,11 @@ def is_zero_vec(a: Vec) -> bool:
     return all(x == 0 for x in a)
 
 
-def _cleared(row: Vec) -> list[int]:
-    """The row times the lcm of its denominators, as integers."""
-    m = lcm(*(x.denominator for x in row))
-    return [x.numerator * (m // x.denominator) for x in row]
+def cleared(values) -> tuple[int, list[int]]:
+    """(L, [L x, ...]): a sequence of rationals times L, the lcm of their
+    denominators, as integers; (1, []) for no values."""
+    den = lcm(*(x.denominator for x in values))
+    return den, [x.numerator * (den // x.denominator) for x in values]
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -70,14 +75,16 @@ def integer_columns(*mats: Matrix) -> tuple[int, list]:
     """(L, per matrix its columns): the matrices times L, the lcm of the
     denominators of all their entries, each column kept as the integer
     terms [(row, L x), ...] of its nonzero entries."""
-    den = lcm(*(x.denominator for m in mats for r in m._a for x in r))
+    den, nums = cleared([x for m in mats for r in m._a for x in r])
+    it = iter(nums)
     out = []
     for m in mats:
         cols = [[] for _ in range(m.cols)]
-        for i, r in enumerate(m._a):
-            for j, x in enumerate(r):
+        for i in range(m.rows):
+            # zip stops on cols before it takes from `it`
+            for col, x in zip(cols, it):
                 if x:
-                    cols[j].append((i, x.numerator * (den // x.denominator)))
+                    col.append((i, x))
         out.append(cols)
     return den, out
 
@@ -231,7 +238,7 @@ class Matrix:
         is kept primitive (its entries divided by their gcd).  Scaling rows
         leaves the RREF unchanged, and the RREF over Q is unique, so the
         Fractions built at the end are those of a rational elimination."""
-        a = [_primitive(_cleared(row)) for row in self._a]
+        a = [_primitive(cleared(row)[1]) for row in self._a]
         pivots = []
         r = 0
         for c in range(self.cols):

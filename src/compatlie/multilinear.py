@@ -3,12 +3,16 @@
 A cochain of arity p on a source space of dimension n with values in a target
 space of dimension m is an alternating p-linear map, stored sparsely by its
 values on increasing basis subsets.  Evaluation on arbitrary index lists uses
-the alternating extension (permutation sign, zero on repeats); evaluation on
-vectors extends multilinearly over the arguments' nonzero coordinates, on
-integer numerators: the cochain's values are kept as integer rows over one
-denominator (`Cochain.integer_rows`), each argument is cleared of
-denominators once, and each nonzero Fraction of the value is built once
-(the rational sum is the test oracle `eval_vectors_fraction`).
+the alternating extension (permutation sign, zero on repeats).
+
+Sums run on one integer core.  A cochain keeps its values as integer rows
+over one denominator (`Cochain.integer_rows`, cleared by `linalg.cleared`
+on first use); `add_value` adds a cochain's value on vectors given by their
+integer terms, at any arity; `Cochain.from_integer_values` turns a finished
+integer table into a cochain, building each nonzero Fraction once.
+`eval_vectors`, `nr_compose` and the closed forms of `deformation` and
+`extension` are written with these three (the rational sums are the test
+oracles `eval_vectors_fraction` and `nr_compose_fraction`).
 
 The graded Lie structure: a cochain of arity p+1 has degree p, and
 
@@ -16,29 +20,23 @@ The graded Lie structure: a cochain of arity p+1 has degree p, and
     (P . Q)(x_1..x_{p+q+1}) = sum, over every (q+1, p)-unshuffle s, of
         sign(s) P(Q(x_{s(1)}..x_{s(q+1)}), x_{s(q+2)}..x_{s(p+q+1)}).
 
-`nr_compose` evaluates this sum as a scatter over the stored nonzeros, on
-integer numerators: each operand is cleared of denominators once, and the
-Fractions of the result are built once at the end (the rational scatter is
-the test oracle `nr_compose_fraction`).  The bracket is implemented for
-endomorphism-valued cochains only.  Module coefficients enter the library
-through the Chevalley-Eilenberg arm matrices of `cohomology.ce_matrix`;
-`ce_coboundary` is the per-subset sum they are tested against.  The lifts
-to a direct sum that carry module cochains into the bracket are test
-references (`tests/oracles.py`).
+`nr_compose` evaluates this sum as a scatter over the operands' integer
+rows, for endomorphism-valued cochains only.  Module coefficients enter the
+library through the Chevalley-Eilenberg arm matrices of
+`cohomology.ce_matrix`; `ce_coboundary` is the per-subset sum they are
+tested against.  The lifts to a direct sum that carry module cochains into
+the bracket are test references (`tests/oracles.py`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, lcm, prod
+from math import comb, prod
 
-from .linalg import Matrix, Vec, frac, is_zero_vec, vadd, vscale, vzero
+from .linalg import Matrix, Vec, cleared, frac, is_zero_vec, vadd, vscale, vzero
 
 Subset = tuple[int, ...]
-
-# `nr_compose`'s marker for a sort not yet looked up (None is an overlap)
-_UNSORTED = object()
 
 # the zero coordinate `eval_vectors` shares between its values
 _ZERO = Fraction(0)
@@ -95,16 +93,6 @@ class Cochain:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _raw(cls, arity: int, source_dim: int, target_dim: int, coeffs) -> "Cochain":
-        # internal: a finished table of increasing in-range subsets and
-        # nonzero Fractions, stored as given without re-validation (the
-        # scatter of `nr_compose` and `from_integer_values`)
-        f = cls.__new__(cls)
-        f.arity, f.source_dim, f.target_dim = arity, source_dim, target_dim
-        f.coeffs = coeffs
-        return f
-
-    @classmethod
     def zero(cls, arity: int, source_dim: int, target_dim: int) -> "Cochain":
         return cls(arity, source_dim, target_dim)
 
@@ -123,21 +111,25 @@ class Cochain:
     ) -> "Cochain":
         """values: mapping increasing subset -> {target index: integer},
         read as integers over the one denominator `den`.  Each nonzero
-        Fraction is built once, in the order of `from_values`."""
+        Fraction is built once and stored in lexicographic (subset, target)
+        order."""
         coeffs = {}
-        for subset, acc in values.items():
+        for subset in sorted(values):
             if len(subset) != arity or any(
                 a >= b for a, b in zip(subset, subset[1:])
             ):
                 raise ValueError(f"subset {subset} is not increasing of size {arity}")
             if subset and not 0 <= subset[0] <= subset[-1] < source_dim:
                 raise ValueError("index out of range")
-            for k, v in sorted(acc.items()):
+            for k, v in sorted(values[subset].items()):
                 if v:
                     if not 0 <= k < target_dim:
                         raise ValueError("index out of range")
                     coeffs[(subset, k)] = Fraction(v, den)
-        return cls._raw(arity, source_dim, target_dim, coeffs)
+        f = cls.__new__(cls)
+        f.arity, f.source_dim, f.target_dim = arity, source_dim, target_dim
+        f.coeffs = coeffs
+        return f
 
     @classmethod
     def from_matrix(cls, m: Matrix) -> "Cochain":
@@ -244,40 +236,28 @@ class Cochain:
             return self._rows
         except AttributeError:
             pass
-        den = lcm(*(c.denominator for c in self.coeffs.values()))
+        den, nums = cleared(self.coeffs.values())
         rows: dict[Subset, list] = {}
-        for (subset, k), c in self.coeffs.items():
-            num = c.numerator * (den // c.denominator)
+        for (subset, k), num in zip(self.coeffs, nums):
             rows.setdefault(subset, []).append((k, num))
         self._rows = den, {subset: tuple(row) for subset, row in rows.items()}
         return self._rows
 
     def eval_vectors(self, vectors) -> Vec:
-        """Full multilinear alternating evaluation on source-space vectors,
-        summed on integers over the `integer_rows` table and the arguments,
-        each cleared of denominators once."""
+        """Full multilinear alternating evaluation on source-space vectors:
+        `add_value` over the `integer_rows` table and the arguments, each
+        cleared of denominators once."""
         if len(vectors) != self.arity:
             raise ValueError("wrong number of arguments")
-        den, rows = self.integer_rows()
-        scale = den
-        nonzero = []
+        scale, rows = self.integer_rows()
+        terms = []
         for v in vectors:
-            terms = [(i, x) for i, x in enumerate(v) if x]
-            lv = lcm(*(x.denominator for _, x in terms))
-            nonzero.append([(i, x.numerator * (lv // x.denominator)) for i, x in terms])
+            lv, nums = cleared(v)
+            terms.append([(i, x) for i, x in enumerate(nums) if x])
             scale *= lv
-        acc = [0] * self.target_dim
-        for term in product(*nonzero):
-            ss = sort_with_sign([i for i, _ in term])
-            if ss is None:
-                continue
-            row = rows.get(ss[0])
-            if row is None:
-                continue
-            c = prod((x for _, x in term), start=ss[1])
-            for k, d in row:
-                acc[k] += c * d
-        return tuple(Fraction(v, scale) if v else _ZERO for v in acc)
+        acc = dict.fromkeys(range(self.target_dim), 0)
+        add_value(acc, rows, terms)
+        return tuple(Fraction(v, scale) if v else _ZERO for v in acc.values())
 
     # -- flattening ----------------------------------------------------------
 
@@ -310,20 +290,33 @@ class Cochain:
         return None
 
 
-def add_pair_value(acc: dict[int, int], rows, u, v, factor: int = 1) -> None:
-    """acc += factor * f(u, v) on integers, for an arity-2 cochain f given
-    by the rows of `Cochain.integer_rows` and vectors u, v given by their
-    integer terms [(index, x), ...]; f alternates, so a repeated index
-    adds nothing."""
-    for a, x in u:
-        fx = factor * x
-        for b, y in v:
-            if a < b:
-                row, c = rows.get((a, b), ()), fx * y
-            elif a > b:
-                row, c = rows.get((b, a), ()), -fx * y
-            else:
-                continue
+def add_value(acc: dict[int, int], rows, vectors, factor: int = 1) -> None:
+    """acc += factor * f(v_1, .., v_p) on integers, for a cochain f of any
+    arity p given by the rows of `Cochain.integer_rows` and p vectors given
+    by their integer terms [(index, x), ...]; f alternates, so a repeated
+    index adds nothing."""
+    if len(vectors) == 2:
+        # every library caller: a pair is sorted by one comparison
+        u, v = vectors
+        for a, x in u:
+            fx = factor * x
+            for b, y in v:
+                if a < b:
+                    row, c = rows.get((a, b), ()), fx * y
+                elif a > b:
+                    row, c = rows.get((b, a), ()), -fx * y
+                else:
+                    continue
+                for t, d in row:
+                    acc[t] = acc.get(t, 0) + c * d
+        return
+    for term in product(*vectors):
+        ss = sort_with_sign([i for i, _ in term])
+        if ss is None:
+            continue
+        row = rows.get(ss[0])
+        if row:
+            c = prod((x for _, x in term), start=factor * ss[1])
             for t, d in row:
                 acc[t] = acc.get(t, 0) + c * d
 
@@ -337,9 +330,9 @@ def nr_compose(p: Cochain, q: Cochain) -> Cochain:
     J as (O, t, (-1)^pos_J(k) d), O = J minus k; each entry (I, k, c) of Q
     meets those filed under k, signed by sorting I u O (overlaps vanish).
 
-    The scatter runs on integers: P and Q are scaled once by the lcm of
-    their denominators, L_p and L_q, and each sum v becomes v / (L_p L_q),
-    so the result is that of a rational scatter, entry for entry."""
+    The scatter runs on the operands' `integer_rows`, over L_p and L_q, and
+    the integer table is read over L_p L_q by `from_integer_values`, so the
+    result is that of a rational scatter, entry for entry."""
     for f in (p, q):
         if f.source_dim != f.target_dim:
             raise ValueError("nr_compose needs endomorphism-valued cochains")
@@ -349,32 +342,31 @@ def nr_compose(p: Cochain, q: Cochain) -> Cochain:
     if p.arity == 0:
         # no slot to plug Q into; the composition is identically zero
         return Cochain.zero(max(q.arity - 1, 0), n, n)
-    lp = lcm(*(d.denominator for d in p.coeffs.values()))
-    lq = lcm(*(c.denominator for c in q.coeffs.values()))
+    lp, prows = p.integer_rows()
+    lq, qrows = q.integer_rows()
     filed: dict[int, list] = {}
-    for (subset, t), d in p.coeffs.items():
-        d = d.numerator * (lp // d.denominator)
+    for subset, row in prows.items():
         for pos, k in enumerate(subset):
             rest = subset[:pos] + subset[pos + 1 :]
-            filed.setdefault(k, []).append((rest, t, -d if pos % 2 else d))
-    # sort_with_sign(inner + outer) per (inner, outer); None marks an overlap
-    sorts: dict = {}
-    table: dict[tuple[Subset, int], int] = {}
-    for (inner, k), c in q.coeffs.items():
-        c = c.numerator * (lq // c.denominator)
-        for outer, t, d in filed.get(k, ()):
-            ss = sorts.get((inner, outer), _UNSORTED)
-            if ss is _UNSORTED:
-                ss = sorts[inner, outer] = sort_with_sign(inner + outer)
-            if ss is None:
-                continue
-            subset, sign = ss
-            key = (subset, t)
-            table[key] = table.get(key, 0) + (c * d if sign == 1 else -c * d)
-    # lexicographic storage order, as every other constructor gives
-    scale = lp * lq
-    coeffs = {key: Fraction(v, scale) for key, v in sorted(table.items()) if v}
-    return Cochain._raw(p.arity + q.arity - 1, n, n, coeffs)
+            sign = -1 if pos % 2 else 1
+            filed.setdefault(k, []).extend((rest, t, sign * d) for t, d in row)
+    # per (inner, outer): the result row of the sorted I u O and the sign
+    # of the sort, or () for an overlap
+    hits: dict = {}
+    table: dict[Subset, dict[int, int]] = {}
+    for inner, row in qrows.items():
+        for k, c in row:
+            for outer, t, d in filed.get(k, ()):
+                hit = hits.get((inner, outer))
+                if hit is None:
+                    ss = sort_with_sign(inner + outer)
+                    hit = () if ss is None else (table.setdefault(ss[0], {}), ss[1])
+                    hits[inner, outer] = hit
+                if not hit:
+                    continue
+                acc, sign = hit
+                acc[t] = acc.get(t, 0) + (c * d if sign == 1 else -c * d)
+    return Cochain.from_integer_values(p.arity + q.arity - 1, n, n, lp * lq, table)
 
 
 def nr_bracket(p: Cochain, q: Cochain) -> Cochain:

@@ -457,6 +457,24 @@ def test_deform_nijenhuis_builds_the_nr_coboundary_once(capsys, monkeypatch):
     assert calls.count((2, 1)) + calls.count((1, 2)) == 4
 
 
+def test_check_computes_each_jacobiator_once(capsys, monkeypatch):
+    # the bracket verdicts and the pair verdict share the Jacobiator each
+    # bracket keeps: one composition per Jacobiator, two for the mixed
+    # bracket and one per pencil probe
+    calls = []
+    compose = multilinear.nr_compose
+
+    def counted(p, q):
+        calls.append((p.arity, q.arity))
+        return compose(p, q)
+
+    monkeypatch.setattr(multilinear, "nr_compose", counted)
+    code, out, _ = run(capsys, "check", DATA / "sl2_pair.alg", "--seed", "3")
+    assert code == 0 and "FAIL" not in out
+    assert "pencil-probe-2" in out
+    assert len(calls) == 6
+
+
 def test_extend_xi_assembles_each_datum_once(capsys, monkeypatch):
     # the datum's Jacobiators, bracket tables and theta check share one
     # assembled pair, and the transform's Jacobiators and theta another

@@ -7,12 +7,14 @@ from random import Random
 import pytest
 
 import compatlie
+from compatlie import multilinear
 from compatlie.core import (
     CompatiblePair,
     LieBracket,
     RepPair,
     adjoint_rep,
     combination,
+    jacobiator,
     pencil,
     validate_bracket,
     validate_pair,
@@ -50,6 +52,37 @@ def test_validate_pair_trivial_cases():
     b = sl2()
     assert validate_pair(b, b).ok
     assert validate_pair(b, LieBracket.zero(3)).ok
+
+
+def test_each_bracket_keeps_its_jacobiator(monkeypatch):
+    calls = []
+    compose = multilinear.nr_compose
+
+    def counted(p, q):
+        calls.append((p.arity, q.arity))
+        return compose(p, q)
+
+    monkeypatch.setattr(multilinear, "nr_compose", counted)
+    pair = rand_compatible_pair(Random(29), 4)
+    # fresh brackets on the pair's tables, with nothing kept yet
+    b1 = LieBracket.from_cochain(pair.bracket1.to_cochain())
+    b2 = LieBracket.from_cochain(pair.bracket2.to_cochain())
+    calls.clear()
+    j1 = jacobiator(b1)
+    assert len(calls) == 1 and j1.is_zero()
+    assert jacobiator(b1) is j1
+    assert validate_bracket(b1).ok and validate_bracket(b2).ok
+    assert len(calls) == 2
+    # the pair verdict composes only the mixed bracket, in both orders
+    assert validate_pair(b1, b2).ok
+    assert len(calls) == 4
+    # a failing bracket keeps its witness, and the pair verdict reports it
+    bad = LieBracket(3, {(0, 1, 2): 1, (0, 1, 0): 1, (0, 2, 1): 1})
+    v = validate_bracket(bad)
+    assert not v.ok and validate_bracket(bad) == v
+    w = validate_pair(bad, sl2()).witness
+    assert (w.law, w.at, w.value) == ("jacobi-1", v.witness.at, v.witness.value)
+    assert len(calls) == 5
 
 
 def test_dim2_pairs_always_compatible():
@@ -193,6 +226,32 @@ def test_library_has_no_assert_statements():
         for node in ast.walk(ast.parse(f.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_only_linalg_cleared_reads_numerators_and_denominators():
+    # one helper puts rationals on integers over a common denominator;
+    # every other integer sum takes its numbers from it
+    files = sorted(Path(compatlie.__file__).parent.glob("*.py"))
+    assert files
+    found = []
+    for f in files:
+        tree = ast.parse(f.read_text(encoding="utf-8"))
+        allowed = {
+            id(n)
+            for node in tree.body
+            if f.name == "linalg.py"
+            and isinstance(node, ast.FunctionDef)
+            and node.name == "cleared"
+            for n in ast.walk(node)
+        }
+        found += [
+            f"{f.name}:{node.lineno}:{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("numerator", "denominator")
+            and id(node) not in allowed
+        ]
     assert found == []
 
 

@@ -8,8 +8,10 @@ from compatlie.core import CompatiblePair
 from compatlie.linalg import (
     Matrix,
     SubspaceBasis,
+    cleared,
     extend_basis,
     in_span,
+    integer_columns,
     vec,
 )
 from oracles import rank_bareiss, rref_fraction
@@ -19,6 +21,20 @@ from support import direct_sum, n2, rand_compatible_pair, rand_invertible, rand_
 def test_rank_identity_and_zero():
     assert Matrix.identity(2).rank() == 2
     assert Matrix.zeros(3, 3).rank() == 0
+
+
+def test_cleared_and_integer_columns_edge_cases():
+    assert cleared(()) == (1, [])
+    assert cleared(vec(["1/2", "-1/3", 0, 4])) == (6, [3, -2, 0, 24])
+    # no entries: L = 1, and each matrix keeps its (empty) columns
+    assert integer_columns(Matrix.zeros(0, 3)) == (1, [[[], [], []]])
+    empty = integer_columns(Matrix.zeros(2, 0), Matrix.zeros(0, 2))
+    assert empty == (1, [[], [[], []]])
+    m1, m2 = Matrix([["1/2", 0], [0, "2/3"]]), Matrix([[0, 1, "-5/4"]])
+    assert integer_columns(m1, m2) == (
+        12,
+        [[[(0, 6)], [(1, 8)]], [[], [(0, 12)], [(0, -15)]]],
+    )
 
 
 def test_rank_dependent_rows():

@@ -6,8 +6,14 @@ import pytest
 
 from compatlie import multilinear
 from compatlie.core import LieBracket, adjoint_rep, CompatiblePair
-from compatlie.linalg import Matrix, vec, vzero
-from compatlie.multilinear import Cochain, ce_coboundary, nr_bracket, nr_compose
+from compatlie.linalg import Matrix, cleared, vec, vzero
+from compatlie.multilinear import (
+    Cochain,
+    add_value,
+    ce_coboundary,
+    nr_bracket,
+    nr_compose,
+)
 from oracles import (
     Bidegree,
     BiMap,
@@ -160,6 +166,87 @@ def test_nr_compose_equals_the_fraction_scatter():
         pair = rand_compatible_pair(rng, dim)
         p1, p2 = pair.bracket1.to_cochain(), pair.bracket2.to_cochain()
         assert same(p1, p2) == same(p2, p1).scale(-1)
+
+
+def test_nr_compose_reads_the_operands_kept_integer_rows():
+    # operands whose integer rows were built before the call: the same
+    # result as the rational scatter, in storage order, and the kept rows
+    # are neither rebuilt nor changed
+    rng = Random(71)
+    for _ in range(60):
+        dim = rng.randint(1, 6)
+        a, b = rng.randint(1, 3 if dim <= 5 else 2), rng.randint(0, 3)
+        p = rand_cochain(rng, a, dim, density=rng.choice((0.3, 1.0)))
+        q = rand_cochain(rng, b, dim, density=rng.choice((0.3, 1.0)))
+        p = Cochain(
+            a, dim, dim, {key: c / rng.randint(1, 6) for key, c in p.coeffs.items()}
+        )
+        kept = {}
+        for f in (p, q):
+            rows = f.integer_rows()
+            kept[id(f)] = (rows, rows[0], dict(rows[1]))
+        for x, y in ((p, q), (q, p), (p, p)):
+            got, want = nr_compose(x, y), nr_compose_fraction(x, y)
+            assert list(got.coeffs.items()) == list(want.coeffs.items())
+        for f in (p, q):
+            rows, den, table = kept[id(f)]
+            assert f.integer_rows() is rows
+            assert rows[0] == den and rows[1] == table
+
+
+def test_add_value_equals_the_fraction_sums():
+    # add_value at arities 0-3 on cleared arguments, over the cochain's
+    # integer rows, against the rational sum and the index expansion:
+    # repeated indices, zero vectors, mixed denominators and a factor
+    rng = Random(73)
+
+    def draw(dim):
+        return tuple(
+            Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+            if rng.random() < 0.6
+            else Fraction(0)
+            for _ in range(dim)
+        )
+
+    def summed(f, vectors, factor):
+        den, rows = f.integer_rows()
+        terms, scale = [], den
+        for v in vectors:
+            lv, nums = cleared(v)
+            terms.append([(i, x) for i, x in enumerate(nums) if x])
+            scale *= lv
+        acc = {}
+        add_value(acc, rows, terms, factor)
+        assert all(0 <= k < f.target_dim for k in acc)
+        return tuple(Fraction(acc.get(k, 0), scale) for k in range(f.target_dim))
+
+    seen = set()
+    for _ in range(160):
+        dim = rng.randint(1, 6)
+        arity = rng.randint(0, 3)
+        td = rng.randint(1, 4)
+        f = rand_cochain(rng, arity, dim, td, density=rng.choice((0.2, 0.6, 1.0)))
+        f = Cochain(
+            arity, dim, td, {key: c / rng.randint(1, 6) for key, c in f.coeffs.items()}
+        )
+        vectors = [draw(dim) for _ in range(arity)]
+        if arity >= 2 and rng.random() < 0.3:
+            vectors[1] = vectors[0]
+            seen.add("repeated")
+        if arity and rng.random() < 0.2:
+            vectors[rng.randrange(arity)] = vzero(dim)
+            seen.add("zero")
+        factor = rng.choice((1, -1, 3, -7))
+        want = eval_vectors_fraction(f, vectors)
+        assert want == eval_vectors_index_expansion(f, vectors)
+        assert summed(f, vectors, factor) == tuple(factor * x for x in want)
+        seen.add(arity)
+    # basis vectors with one index repeated: the alternating value vanishes
+    f = rand_cochain(rng, 3, 4, 2, density=1.0)
+    acc = {}
+    add_value(acc, f.integer_rows()[1], [[(1, 1)], [(2, 5)], [(1, 3)]])
+    assert acc == {}
+    assert seen >= {0, 1, 2, 3, "repeated", "zero"}
 
 
 def test_eval_vectors_matches_index_expansion():
