@@ -26,10 +26,10 @@ import argparse
 import csv
 import functools
 import io
-import json
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from random import Random
 
 from . import cohomology as coh
@@ -96,6 +96,48 @@ def _entry_rows(entries) -> list[dict]:
     ]
 
 
+def _write_json(value, newline: str, out: list[str]):
+    """Append the report schema (dicts with str keys, lists, str, int, bool)
+    as `json.dumps(value, sort_keys=True, indent=2)` writes it; `newline` is
+    the line break and indent before a closing bracket at this depth."""
+    if type(value) is str:
+        out.append(encode_basestring_ascii(value))
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif type(value) is int:
+        out.append(str(value))
+    elif type(value) is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep, comma = "{" + inner, "," + inner  # one string per container
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"report keys are str, not {type(key).__name__}")
+            out.append(sep)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _write_json(value[key], inner, out)
+            sep = comma
+        out.append(newline + "}")
+    elif type(value) is list:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep, comma = "[" + inner, "," + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = comma
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"{type(value).__name__} is outside the report schema")
+
+
 class Report:
     def __init__(self, command: str, source: str, options: dict):
         self.data = {
@@ -122,7 +164,10 @@ class Report:
     # -- rendering ------------------------------------------------------------
 
     def to_json(self) -> str:
-        return json.dumps(self.data, sort_keys=True, indent=2) + "\n"
+        out: list[str] = []
+        _write_json(self.data, "\n", out)
+        out.append("\n")
+        return "".join(out)
 
     def to_csv(self) -> str:
         out = io.StringIO()

@@ -60,19 +60,28 @@ _NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _HEADER = re.compile(r"^\[([a-z0-9]+)(?:\s+(\S+))?\]$")
 
 
-def _rational(tok: str, line: int) -> Fraction:
-    if not _RATIONAL.match(tok):
-        raise ParseError(line, f"malformed rational {tok!r}")
-    if "/" in tok and int(tok.split("/")[1]) == 0:
-        raise ParseError(line, f"zero denominator in {tok!r}")
-    return Fraction(tok)
+def _rational(tok: str, line: int, seen: dict) -> Fraction:
+    """`seen` holds the tokens of this document already converted; only
+    successes are stored, so an error names the line the token fails on."""
+    c = seen.get(tok)
+    if c is None:
+        if not _RATIONAL.match(tok):
+            raise ParseError(line, f"malformed rational {tok!r}")
+        if "/" in tok and int(tok.split("/")[1]) == 0:
+            raise ParseError(line, f"zero denominator in {tok!r}")
+        c = seen[tok] = Fraction(tok)
+    return c
 
 
-def _integer(tok: str, line: int, message: str, least: int = 0) -> int:
-    """ASCII digits only: str.isdigit passes superscripts that int() rejects."""
-    if not _INTEGER.match(tok) or int(tok) < least:
-        raise ParseError(line, message)
-    return int(tok)
+def _integer(tok: str, line: int, message: str, seen: dict, least: int = 0) -> int:
+    """ASCII digits only: str.isdigit passes superscripts that int() rejects.
+    `seen` is keyed by (token, least), as `_rational`'s is by token."""
+    n = seen.get((tok, least))
+    if n is None:
+        if not _INTEGER.match(tok) or int(tok) < least:
+            raise ParseError(line, message)
+        n = seen[tok, least] = int(tok)
+    return n
 
 
 @dataclass(frozen=True)
@@ -150,6 +159,9 @@ def _bracket(dim, entries) -> LieBracket:
 
 
 def parse(text: str) -> AlgebraDocument:
+    # each distinct token is converted once per document
+    rationals: dict[str, Fraction] = {}
+    integers: dict[tuple[str, int], int] = {}
     dim = None
     pi: dict[str, dict] = {"pi1": {}, "pi2": {}}
     pi_lines: dict[str, dict] = {"pi1": {}, "pi2": {}}
@@ -216,15 +228,16 @@ def parse(text: str) -> AlgebraDocument:
             if toks[0] == "dim" and len(toks) == 2:
                 if dim is not None:
                     raise ParseError(ln, "dim given twice")
-                dim = _integer(toks[1], ln, "dim must be a positive integer", 1)
+                msg = "dim must be a positive integer"
+                dim = _integer(toks[1], ln, msg, integers, 1)
             else:
                 raise ParseError(ln, f"unexpected line in [algebra]: {line!r}")
         elif kind in ("pi1", "pi2"):
             if len(toks) != 4:
                 raise ParseError(ln, "bracket entries are 'i j k coeff'")
             msg = "bracket indices must be positive integers"
-            i, j, k = (_integer(t, ln, msg) for t in toks[:3])
-            c = _rational(toks[3], ln)
+            i, j, k = (_integer(t, ln, msg, integers) for t in toks[:3])
+            c = _rational(toks[3], ln, rationals)
             if (i, j, k) in pi[kind]:
                 raise ParseError(ln, f"duplicate entry for ({i}, {j}, {k})")
             pi[kind][(i, j, k)] = c
@@ -233,11 +246,13 @@ def parse(text: str) -> AlgebraDocument:
             if toks[0] == "dim" and len(toks) == 2:
                 if rep_dim is not None:
                     raise ParseError(ln, "module dim given twice")
-                rep_dim = _integer(toks[1], ln, "module dim must be a positive integer", 1)
+                msg = "module dim must be a positive integer"
+                rep_dim = _integer(toks[1], ln, msg, integers, 1)
             elif toks[0] in ("rho", "mu") and len(toks) == 2:
                 if rep_dim is None:
                     raise ParseError(ln, "module dim must come first in [rep]")
-                idx = _integer(toks[1], ln, f"{toks[0]} needs an algebra index")
+                msg = f"{toks[0]} needs an algebra index"
+                idx = _integer(toks[1], ln, msg, integers)
                 key = (toks[0], idx)
                 if key in rep_mats:
                     raise ParseError(ln, f"duplicate matrix {toks[0]} {toks[1]}")
@@ -248,14 +263,14 @@ def parse(text: str) -> AlgebraDocument:
                 if current_matrix is None or current_matrix[0] != "rep":
                     raise ParseError(ln, "row outside a matrix block")
                 rep_mats[current_matrix[1]].append(
-                    tuple(_rational(t, ln) for t in toks[1:])
+                    tuple(_rational(t, ln, rationals) for t in toks[1:])
                 )
             else:
                 raise ParseError(ln, f"unexpected line in [rep]: {line!r}")
         elif kind == "op":
             if toks[0] != "row:":
                 raise ParseError(ln, "operator blocks contain only 'row:' lines")
-            ops[name].append(tuple(_rational(t, ln) for t in toks[1:]))
+            ops[name].append(tuple(_rational(t, ln, rationals) for t in toks[1:]))
         elif kind == "cochain":
             block = cochain_raw[name]
             if toks[0] in ("dim", "target") and len(toks) == 2:
@@ -264,13 +279,13 @@ def parse(text: str) -> AlgebraDocument:
                 if block[toks[0]] is not None:
                     raise ParseError(ln, f"{toks[0]} given twice")
                 msg = f"{toks[0]} must be a positive integer"
-                block[toks[0]] = _integer(toks[1], ln, msg, 1)
+                block[toks[0]] = _integer(toks[1], ln, msg, integers, 1)
             else:
                 msg = "cochain entries are 'i j k coeff'"
                 if len(toks) != 4:
                     raise ParseError(ln, msg)
-                i, j, k = (_integer(t, ln, msg) for t in toks[:3])
-                c = _rational(toks[3], ln)
+                i, j, k = (_integer(t, ln, msg, integers) for t in toks[:3])
+                c = _rational(toks[3], ln, rationals)
                 if (i, j, k) in block["entries"]:
                     raise ParseError(ln, f"duplicate entry for ({i}, {j}, {k})")
                 block["entries"][(i, j, k)] = c

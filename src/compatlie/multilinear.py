@@ -31,6 +31,7 @@ the bracket are test references (`tests/oracles.py`).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from math import comb, prod
 
@@ -58,6 +59,12 @@ def sort_with_sign(indices) -> tuple[Subset, int] | None:
         if a == b:
             return None
     return tuple(idx), sign
+
+
+# `sort_with_sign` of the index tuples `nr_compose` merges, kept for the
+# process: the same (inner, outer) merges recur in every composition of one
+# dimension and arity.  Bounded, so large dimensions cannot grow it unchecked.
+_merge_sign = lru_cache(maxsize=4096)(sort_with_sign)
 
 
 class Cochain:
@@ -359,7 +366,7 @@ def nr_compose(p: Cochain, q: Cochain) -> Cochain:
             for outer, t, d in filed.get(k, ()):
                 hit = hits.get((inner, outer))
                 if hit is None:
-                    ss = sort_with_sign(inner + outer)
+                    ss = _merge_sign(inner + outer)
                     hit = () if ss is None else (table.setdefault(ss[0], {}), ss[1])
                     hits[inner, outer] = hit
                 if not hit:

@@ -12,10 +12,12 @@ replaced, the rational Gauss-Jordan the integer `Matrix.rref` replaced, a
 fraction-free (Bareiss) rank, the entrywise assembly of the direct-sum
 brackets, the staircase and hand-expanded forms of the deformation
 checks, and the rational sums the integer gauge transform, Nijenhuis
-torsion and equivalence layers replaced.  Nothing in `compatlie` imports
-this module.
+torsion and equivalence layers replaced, and the `json.dumps` call the
+fixed-schema report writer replaced.  Nothing in `compatlie` imports this
+module.
 """
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -830,3 +832,12 @@ def twisted_boundary_matrices(
         return Matrix.from_columns(cols, rows=len(cod) * m)
 
     return matrix_of(a1), matrix_of(a2)
+
+
+# -- reports ------------------------------------------------------------------------
+
+
+def report_json_reference(data) -> str:
+    """A report's JSON as the standard library's encoder writes it: the
+    reference for `Report.to_json`."""
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"

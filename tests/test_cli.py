@@ -3,13 +3,19 @@ import functools
 import hashlib
 import io
 import json
+from fractions import Fraction
 from pathlib import Path
+from random import Random
+
+import pytest
 
 from compatlie import cli, cohomology, extension, multilinear, poisson
-from compatlie.cli import main
-from compatlie.core import InternalCheckError
+from compatlie.cli import Report, main
+from compatlie.core import InternalCheckError, Verdict, Witness
 from compatlie.extension import ExtensionDatum
-from compatlie.document import parse
+from compatlie.document import parse, render
+from oracles import report_json_reference
+from support import rand_document
 
 DATA = Path(__file__).parent / "data"
 
@@ -236,30 +242,33 @@ def test_poisson_command(capsys):
     assert rows[1] == {"poly_degree": 1, "H~0": 0, "H~1": 2, "H~2": 2}
 
 
+# every command that runs on each fixture
+MACHINE_COMMANDS = {
+    "n2.alg": [
+        ["check"],
+        ["cohomology", "--max-degree", "2", "--reduced"],
+        ["deform", "--omega", "w", "--nijenhuis", "N"],
+        ["poisson", "--poly-degree", "1", "--max-degree", "1"],
+    ],
+    "sl2_pair.alg": [["check"], ["cohomology", "--max-degree", "1"]],
+    "abelian2.alg": [["check"], ["cohomology", "--max-degree", "2"]],
+    "heisenberg_ext.alg": [["check"], ["extend", "--mode", "abelian"]],
+    "nonabelian_ext.alg": [
+        ["check"],
+        ["extend", "--mode", "nonabelian", "--xi", "xi"],
+    ],
+    "semidirect_scaled.alg": [
+        ["check"],
+        ["extend", "--mode", "abelian", "--xi", "xi"],
+    ],
+    "bad_jacobi.alg": [["check"]],
+}
+
+
 def test_machine_reports_byte_identical(capsys):
     corpus = sorted(DATA.glob("*.alg"))
-    commands = {
-        "n2.alg": [
-            ["check"],
-            ["cohomology", "--max-degree", "2", "--reduced"],
-            ["deform", "--omega", "w", "--nijenhuis", "N"],
-            ["poisson", "--poly-degree", "1", "--max-degree", "1"],
-        ],
-        "sl2_pair.alg": [["check"], ["cohomology", "--max-degree", "1"]],
-        "abelian2.alg": [["check"], ["cohomology", "--max-degree", "2"]],
-        "heisenberg_ext.alg": [["check"], ["extend", "--mode", "abelian"]],
-        "nonabelian_ext.alg": [
-            ["check"],
-            ["extend", "--mode", "nonabelian", "--xi", "xi"],
-        ],
-        "semidirect_scaled.alg": [
-            ["check"],
-            ["extend", "--mode", "abelian", "--xi", "xi"],
-        ],
-        "bad_jacobi.alg": [["check"]],
-    }
     for path in corpus:
-        for cmd in commands[path.name]:
+        for cmd in MACHINE_COMMANDS[path.name]:
             for fmt in ("json", "csv"):
                 outputs = []
                 for _ in range(2):
@@ -660,3 +669,98 @@ def test_non_ascii_digit_is_a_usage_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error: line 4")
+
+
+def test_json_reports_equal_the_standard_encoder(capsys, monkeypatch, tmp_path):
+    # every fixture and command, the recorded verdict, table and invalid
+    # extension inputs, the failing deformations and generated documents:
+    # each report's JSON equals the standard library's encoding of its data
+    runs = [
+        (DATA, (cmd[0], name, *cmd[1:]))
+        for name, cmds in MACHINE_COMMANDS.items()
+        for cmd in cmds
+    ]
+    runs += [(DATA, argv) for argv in VERDICT_DIGESTS]
+    runs += [
+        (DATA, argv) for name, _ in TABLE_DIGESTS for argv in table_commands(name).values()
+    ]
+    for name, text in FAILING_DEFORM.items():
+        (tmp_path / name).write_text(text)
+        runs.append((tmp_path, ("deform", name, "--omega", "w", "--nijenhuis", "N")))
+    for name, (text, mode, _) in INVALID_EXTEND.items():
+        (tmp_path / name).write_text(text)
+        runs.append((tmp_path, ("extend", name, "--mode", mode)))
+    rng = Random(307)
+    for n in range(40):
+        name = f"generated_{n}.alg"
+        (tmp_path / name).write_text(render(rand_document(rng)))
+        runs.append((tmp_path, ("check", name, "--seed", str(n))))
+        runs.append((tmp_path, ("cohomology", name, "--max-degree", "1")))
+    assert {argv[1] for _, argv in runs} >= {p.name for p in DATA.glob("*.alg")}
+    compared = []
+    to_json = Report.to_json
+
+    def checked(self):
+        got = to_json(self)
+        assert got == report_json_reference(self.data), self.data
+        compared.append(self.data)
+        return got
+
+    monkeypatch.setattr(Report, "to_json", checked)
+    codes = []
+    for cwd, argv in runs:
+        monkeypatch.chdir(cwd)
+        codes.append(run(capsys, *argv, "--format", "json")[0])
+    assert len(compared) == len(runs)
+    assert codes.count(0) > 20 and codes.count(1) > 20
+
+
+def test_json_writer_on_hand_built_reports():
+    # escapes in the input path (non-ASCII, a character beyond the BMP, a
+    # quote, a backslash, control characters), empty tables and
+    # representatives, bool options, witnesses and nested empties
+    report = Report(
+        "cohomology",
+        "dïr/ü\"quote\\back\x01\ttab\u2028\U0001d53c.alg",
+        {"max_degree": 2, "reduced": True, "witness": False, "omega": "w"},
+    )
+    empty = Report("check", "", {})
+    for r in (report, empty):
+        assert r.to_json() == report_json_reference(r.data)
+    report.table("cohomology", [])
+    report.table("reduced", [{"degree": 0, "space_dim": 0, "h_dim": -3}])
+    report.representatives("H0", [])
+    report.representatives("H1", [(Fraction(1, 2), 0, Fraction(-7, 3))])
+    report.verdict("pair-compatible", Verdict(True))
+    report.verdict(
+        "representation",
+        Verdict(False, Witness("rep-1: [rho(e1), mu(e2)]", (1, 2), (Fraction(1, 3), 0))),
+    )
+    report.verdict("empty-witness", Verdict(False, Witness("law", (), ())))
+    report.data["tables"]["nested"] = [{"label": "x", "rows": [[], {}]}]
+    text = report.to_json()
+    assert text == report_json_reference(report.data)
+    assert "\\u00ef" in text and "\\ud835\\udd3c" in text
+    assert json.loads(text) == report.data
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        1.5,
+        None,
+        (1, 2),
+        Fraction(1, 2),
+        b"x",
+        {1: "x"},
+        {"k": [None]},
+        {"a": {"b": 2.0}},
+    ],
+    ids=repr,
+)
+def test_json_writer_refuses_values_outside_the_schema(value):
+    # json.dumps would write floats, None, tuples and int keys; the report
+    # schema has none of them, so the writer raises on each
+    report = Report("check", "x.alg", {"value": value})
+    with pytest.raises(TypeError):
+        report.to_json()

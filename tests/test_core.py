@@ -255,6 +255,28 @@ def test_only_linalg_cleared_reads_numerators_and_denominators():
     assert found == []
 
 
+def test_library_writes_json_only_through_the_report_writer():
+    # reports are written by `cli._write_json`; json.dumps is its test
+    # oracle and has no production call, under any import spelling
+    files = sorted(Path(compatlie.__file__).parent.glob("*.py"))
+    assert files
+    found = []
+    for f in files:
+        for node in ast.walk(ast.parse(f.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            found += [
+                f"{f.name}:{node.lineno}:{name}"
+                for name in names
+                if name in ("dump", "dumps")
+            ]
+    assert found == []
+
+
 def test_every_library_definition_is_used_or_exported():
     # a top-level function or class is named in compatlie.__all__ or used by
     # some library module outside its own body; second routes that only the

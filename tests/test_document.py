@@ -179,6 +179,73 @@ def test_non_ascii_digits_in_rationals_are_parse_errors():
         assert "malformed rational" in err.value.message
 
 
+# Each distinct token is converted once per document.  A token's integer
+# value is kept per lower bound, and a token that failed is never kept, so
+# the memo changes no message and no line number.
+MEMO_ERRORS = [
+    (
+        "dim 0 after an index 0",
+        "[pi1]\n0 1 1 1\n[algebra]\ndim 0\n",
+        4,
+        "dim must be a positive integer",
+    ),
+    (
+        "cochain dim 0 after an index 0",
+        "[algebra]\ndim 2\n[pi1]\n0 1 1 1\n[cochain w]\ndim 0\n",
+        6,
+        "dim must be a positive integer",
+    ),
+    (
+        "cochain target 0 after an index 0",
+        "[pi1]\n0 1 1 1\n[algebra]\ndim 2\n[cochain w]\ntarget 0\n",
+        6,
+        "target must be a positive integer",
+    ),
+    (
+        "module dim 0 after an index 0",
+        "[algebra]\ndim 2\n[pi1]\n0 1 1 1\n[rep]\ndim 0\n",
+        6,
+        "module dim must be a positive integer",
+    ),
+    (
+        "malformed rational on two lines",
+        "[algebra]\ndim 2\n[pi1]\n1 2 1 1/x\n1 2 2 1/x\n",
+        4,
+        "malformed rational '1/x'",
+    ),
+    (
+        "zero denominator on two lines",
+        "[algebra]\ndim 2\n[op N]\nrow: 1 1/0\nrow: 1/0 1\n",
+        4,
+        "zero denominator in '1/0'",
+    ),
+    (
+        "rational 1/2 as an index",
+        "[algebra]\ndim 2\n[pi1]\n1 2 1 1/2\n1/2 2 1 1\n",
+        5,
+        "bracket indices must be positive integers",
+    ),
+    (
+        "rational 1/2 as a cochain index",
+        "[algebra]\ndim 2\n[cochain w]\n1 2 1 1/2\n1 1/2 1 1\n",
+        5,
+        "cochain entries are 'i j k coeff'",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [case[1:] for case in MEMO_ERRORS],
+    ids=[case[0] for case in MEMO_ERRORS],
+)
+def test_token_memo_keeps_every_error(text, line, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.line == line
+    assert message in err.value.message
+
+
 def test_rep_without_dim_reports_the_rep_header_line():
     with pytest.raises(ParseError) as err:
         parse("[algebra]\ndim 2\n[pi1]\n1 2 2 1\n[rep]\n")

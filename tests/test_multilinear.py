@@ -168,6 +168,30 @@ def test_nr_compose_equals_the_fraction_scatter():
         assert same(p1, p2) == same(p2, p1).scale(-1)
 
 
+def test_nr_compose_with_a_warm_merge_memo_equals_the_fraction_scatter():
+    # the merge signs are kept for the process, keyed by the merged index
+    # tuple alone: one seeded sequence interleaves dims 1-8 and arities
+    # 0-3, so each case meets a memo filled by other shapes
+    multilinear._merge_sign.cache_clear()
+    rng = Random(83)
+    shapes = [(dim, a, b) for dim in range(1, 9) for a in range(4) for b in range(4)]
+    rng.shuffle(shapes)
+    warm = set()
+    for dim, a, b in shapes + shapes[::-1]:
+        p = rand_cochain(rng, a, dim, density=rng.choice((0.3, 1.0)))
+        q = rand_cochain(rng, b, dim, density=rng.choice((0.3, 1.0)))
+        if multilinear._merge_sign.cache_info().currsize:
+            warm.add((dim, a, b))
+        for x, y in ((p, q), (q, p)):
+            got, want = nr_compose(x, y), nr_compose_fraction(x, y)
+            assert got == want, (dim, x.arity, y.arity)
+            assert list(got.coeffs.items()) == list(want.coeffs.items())
+    info = multilinear._merge_sign.cache_info()
+    assert warm == set(shapes)
+    assert info.hits > info.misses > 0
+    assert info.currsize <= info.maxsize
+
+
 def test_nr_compose_reads_the_operands_kept_integer_rows():
     # operands whose integer rows were built before the call: the same
     # result as the rational scatter, in storage order, and the kept rows
