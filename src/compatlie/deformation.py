@@ -28,7 +28,8 @@ by `linalg.integer_columns` and `linalg.add_image`, the brackets by their
 both checks (the closure of (w1, w2), the coboundary of N and the
 hand-expanded linear layer) and the rational sums are test references
 (`tests/oracles.py`).  Only the preimage solve `cohomology_obstruction`
-builds the `ce_matrix` arms.
+builds the `ce_matrix` arms, stacked by rows as the degree-1 staircase
+and solved on integer rows once.
 """
 
 from __future__ import annotations
@@ -246,7 +247,8 @@ def cohomology_obstruction(
 ):
     """The linear part of the equivalence problem: is (w1-w1', w2-w2') in
     the image of the degree-1 coboundary?  Returns (answer, certificate N
-    as a matrix or None)."""
+    as a matrix or None): one integer solve of the stacked arms
+    (`coboundary_preimage`), with N 0 at every free coordinate."""
     diff = CochainTuple(2, [d.omega1 - d_prime.omega1, d.omega2 - d_prime.omega2])
     n_op = coboundary_preimage(pair, None, diff)
     return n_op is not None, n_op

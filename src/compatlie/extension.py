@@ -454,7 +454,10 @@ def _theta_intertwines(
     """OK once theta: (x, u) -> (x, -xi(x) + u) is verified to intertwine
     the extensions built from `datum` and from its gauge transform `moved`
     (both brackets, all basis pairs); a failure is an `InternalCheckError`.
-    `cli` calls it directly on the transform it has already computed.
+    `cli` calls it directly on the transform it has already computed, and
+    reads it as the verdict on that transform as well: theta is invertible,
+    so the transform's assembled pair is an isomorphic image of the
+    datum's, and a valid datum has a valid transform.
 
     The check runs on integers.  theta e_p = e_p - sum_k xi[k, p] f_k has
     at most 1 + m nonzeros, kept as integer terms over the lcm L of xi's

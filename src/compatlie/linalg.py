@@ -8,15 +8,16 @@ operation in this package (brackets, coboundaries, ranks) is rational-linear
 in the structure constants, so working over the rationals loses nothing.
 
 Every rank, kernel, image, solve and basis completion comes from one
-reduced row echelon form, `Matrix.rref`.  Its elimination runs on integer
-rows (each row cleared of denominators and kept primitive, fraction-free
-Gauss-Jordan in the manner of Bareiss), and the Fractions of the result are
-built once at the end; the rational Gauss-Jordan it replaced is the test
-reference (`tests/oracles.py`).
+elimination, `_eliminate`: Gauss-Jordan on integer rows (each row cleared
+of denominators and kept primitive, fraction-free in the manner of
+Bareiss).  `Matrix.rref` builds the Fractions of the whole reduced form
+once at the end; `Matrix.solve` eliminates the augmented rows and builds
+only the Fractions of the solution.  The rational Gauss-Jordan they
+replaced is the test reference (`tests/oracles.py`).
 
 `cleared` is the one place where rationals become integers over a common
-denominator, for `rref`, for `integer_columns` (applied by `add_image`) and
-for the cochain rows and arguments of `multilinear`.
+denominator, for the elimination, for `integer_columns` (applied by
+`add_image`) and for the cochain rows and arguments of `multilinear`.
 """
 
 from __future__ import annotations
@@ -69,6 +70,38 @@ def _primitive(row: list[int]) -> list[int]:
     """The integer row divided by the gcd of its entries."""
     g = gcd(*row)
     return row if g <= 1 else [x // g for x in row]
+
+
+def _eliminate(a: list[list[int]], cols: int) -> list[int]:
+    """Gauss-Jordan in place on primitive integer rows over `cols`
+    columns, fraction-free: the pivot row r clears column c from every
+    other row i by row_i = pv * row_i - f * row_r, and every row is kept
+    primitive (its entries divided by their gcd).  Returns the pivot
+    columns; rows 0..r-1 are the pivot rows, the rest are zero.
+
+    Scaling rows leaves the RREF unchanged, and the RREF over Q is unique,
+    so row r divided by its pivot is row r of a rational elimination."""
+    rows = len(a)
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        p = next((i for i in range(r, rows) if a[i][c]), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        top = a[r]
+        pv = top[c]
+        for i in range(rows):
+            f = a[i][c]
+            if i != r and f:
+                g = gcd(pv, f)
+                s, t = pv // g, f // g
+                a[i] = _primitive([s * x - t * y for x, y in zip(a[i], top)])
+        pivots.append(c)
+        r += 1
+    return pivots
 
 
 def integer_columns(*mats: Matrix) -> tuple[int, list]:
@@ -232,32 +265,12 @@ class Matrix:
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and the pivot column indices.
 
-        Gauss-Jordan on integer rows, fraction-free: each row is scaled by
-        the lcm of its denominators, the pivot row r clears column c from
-        every other row i by row_i = pv * row_i - f * row_r, and every row
-        is kept primitive (its entries divided by their gcd).  Scaling rows
-        leaves the RREF unchanged, and the RREF over Q is unique, so the
-        Fractions built at the end are those of a rational elimination."""
+        Each row is scaled by the lcm of its denominators and eliminated
+        on integers (`_eliminate`); the Fractions of the result are built
+        once at the end."""
         a = [_primitive(cleared(row)[1]) for row in self._a]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            if r == self.rows:
-                break
-            p = next((i for i in range(r, self.rows) if a[i][c]), None)
-            if p is None:
-                continue
-            a[r], a[p] = a[p], a[r]
-            top = a[r]
-            pv = top[c]
-            for i in range(self.rows):
-                f = a[i][c]
-                if i != r and f:
-                    g = gcd(pv, f)
-                    s, t = pv // g, f // g
-                    a[i] = _primitive([s * x - t * y for x, y in zip(a[i], top)])
-            pivots.append(c)
-            r += 1
+        pivots = _eliminate(a, self.cols)
+        r = len(pivots)
         # rows r.. are zero now; each pivot row is divided by its pivot
         zero = Fraction(0)
         red = tuple(
@@ -291,16 +304,23 @@ class Matrix:
         return SubspaceBasis(self.rows, tuple(self.column(c) for c in pivots))
 
     def solve(self, b: Vec) -> Vec | None:
-        """One exact solution of Mx = b, or None if inconsistent."""
+        """One exact solution of Mx = b, or None if inconsistent.
+
+        The augmented rows [M | b] are eliminated on integers as in `rref`;
+        b is consistent unless its column becomes a pivot.  The solution
+        is 0 at every free column and row[-1] / row[c] at the pivot column
+        c of each pivot row, the last column of the unique RREF, so only
+        those Fractions are built."""
         if len(b) != self.rows:
             raise ValueError("right-hand side has wrong length")
-        aug = Matrix([list(r) + [x] for r, x in zip(self._a, b)])
-        red, pivots = aug.rref()
-        if self.cols in pivots:
+        a = [_primitive(cleared((*r, x))[1]) for r, x in zip(self._a, b)]
+        pivots = _eliminate(a, self.cols + 1)
+        if pivots and pivots[-1] == self.cols:
             return None
         x = [Fraction(0)] * self.cols
-        for r, c in enumerate(pivots):
-            x[c] = red[r, self.cols]
+        for row, c in zip(a, pivots):
+            if row[-1]:
+                x[c] = Fraction(row[-1], row[c])
         return tuple(x)
 
 

@@ -8,7 +8,8 @@ differentials and the gauge exponential.  Those descriptions live here,
 with the defining sums the sparse kernels replaced (unshuffles, evaluation
 on every index tuple), the rational scatter the integer `nr_compose`
 replaced, the rational evaluation the integer `Cochain.eval_vectors`
-replaced, the rational Gauss-Jordan the integer `Matrix.rref` replaced, a
+replaced, the rational Gauss-Jordan the integer `Matrix.rref` and
+`Matrix.solve` replaced (`rref_fraction`, `solve_fraction`), a
 fraction-free (Bareiss) rank, the entrywise assembly of the direct-sum
 brackets, the staircase and hand-expanded forms of the deformation
 checks, and the rational sums the integer gauge transform, Nijenhuis
@@ -354,6 +355,22 @@ def rref_fraction(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         r += 1
     red = Matrix._raw(tuple(tuple(row) for row in a), m.rows, m.cols)
     return red, tuple(pivots)
+
+
+def solve_fraction(m: Matrix, b) -> tuple | None:
+    """The solution of mx = b read off `rref_fraction` of [m | b]: None
+    when the last column is a pivot, else 0 at every free column and the
+    last entry of each pivot row at its pivot column."""
+    aug = Matrix._raw(
+        tuple(m.row(i) + (frac(x),) for i, x in enumerate(b)), m.rows, m.cols + 1
+    )
+    red, pivots = rref_fraction(aug)
+    if m.cols in pivots:
+        return None
+    x = [Fraction(0)] * m.cols
+    for r, c in enumerate(pivots):
+        x[c] = red[r, m.cols]
+    return tuple(x)
 
 
 def rank_bareiss(m: Matrix) -> int:

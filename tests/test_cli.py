@@ -3,7 +3,9 @@ import functools
 import hashlib
 import io
 import json
+from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 from random import Random
 
@@ -11,11 +13,13 @@ import pytest
 
 from compatlie import cli, cohomology, extension, multilinear, poisson
 from compatlie.cli import Report, main
-from compatlie.core import InternalCheckError, Verdict, Witness
-from compatlie.extension import ExtensionDatum
+from compatlie.core import CompatiblePair, InternalCheckError, LieBracket, Verdict, Witness
+from compatlie.extension import ExtensionDatum, gauge_transform, validate_extension_datum
+from compatlie.linalg import Matrix
+from compatlie.multilinear import Cochain
 from compatlie.document import parse, render
 from oracles import report_json_reference
-from support import rand_document
+from support import rand_compatible_pair, rand_document, rand_matrix, rand_rep
 
 DATA = Path(__file__).parent / "data"
 
@@ -397,8 +401,9 @@ def test_invalid_extend_reports_match_recorded_digests(capsys, monkeypatch, tmp_
 
 
 def test_extend_builds_each_datums_jacobiators_once(capsys, monkeypatch):
-    # `extend --xi` checks the datum and its gauge transform, each through
-    # the nine equations and the first also through Maurer-Cartan
+    # `extend --xi` checks the datum through the nine equations and
+    # Maurer-Cartan, both read off one build of its Jacobiators; the gauge
+    # transform's verdict is the theta certificate, which builds none
     monkeypatch.chdir(DATA)
     builds = []
     compute = ExtensionDatum.jacobiators.func
@@ -415,8 +420,7 @@ def test_extend_builds_each_datums_jacobiators_once(capsys, monkeypatch):
     for argv in xi_runs:
         builds.clear()
         assert run(capsys, *argv)[0] == 0
-        assert len(builds) == 2 and builds[0] is not builds[1], argv
-        assert builds[0] != builds[1], argv  # the gauge moved the datum
+        assert len(builds) == 1, argv
 
 
 def test_extend_xi_transforms_once(capsys, monkeypatch):
@@ -764,3 +768,167 @@ def test_json_writer_refuses_values_outside_the_schema(value):
     report = Report("check", "x.alg", {"value": value})
     with pytest.raises(TypeError):
         report.to_json()
+
+
+# -- the theta certificate as the verdict on the gauge transform ---------------
+
+
+def extension_text(datum: ExtensionDatum, xi: Matrix) -> str:
+    """An `extend` input for the datum, with xi as [op xi]; the fibre
+    brackets go to theta blocks when the fibre is not abelian."""
+    m = datum.fibre_dim
+
+    def triples(entries):
+        return [f"{i + 1} {j + 1} {k + 1} {c}" for (i, j, k), c in entries]
+
+    def rows(mat):
+        return ["row: " + " ".join(str(x) for x in mat.row(r)) for r in range(mat.rows)]
+
+    g, h = datum.base, datum.fibre
+    out = ["[algebra]", f"dim {g.dim}", ""]
+    out += ["[pi1]", *triples(g.bracket1.entries()), ""]
+    out += ["[pi2]", *triples(g.bracket2.entries()), ""]
+    out += ["[rep]", f"dim {m}"]
+    for label, mats in (("rho", datum.rho), ("mu", datum.mu)):
+        for idx, mat in enumerate(mats, start=1):
+            out += [f"{label} {idx}", *rows(mat)]
+    out += ["", "[op xi]", *rows(xi), ""]
+    for name, w in (("omega1", datum.omega1), ("omega2", datum.omega2)):
+        entries = (((i, j, k), c) for ((i, j), k), c in sorted(w.coeffs.items()))
+        out += [f"[cochain {name}]", f"target {m}", *triples(entries), ""]
+    if not fibre_is_abelian(datum):
+        for name, b in (("theta1", h.bracket1), ("theta2", h.bracket2)):
+            out += [f"[cochain {name}]", f"dim {m}", f"target {m}"]
+            out += [*triples(b.entries()), ""]
+    return "\n".join(out)
+
+
+def fibre_is_abelian(datum: ExtensionDatum) -> bool:
+    return datum.fibre.bracket1.is_zero() and datum.fibre.bracket2.is_zero()
+
+
+def seeded_extension_data():
+    """Valid data: semidirect products by a random module (abelian fibre)
+    and products with a nonabelian fibre, moved by a random gauge so that
+    actions and cochains are nonzero; each with xi = 0 and a random xi."""
+    rng = Random(241)
+    out = []
+    for case in range(12):
+        g = rand_compatible_pair(rng, rng.randint(2, 3))
+        n = g.dim
+        if case % 2:
+            h = rand_compatible_pair(rng, 2)
+            while h.bracket1.is_zero() and h.bracket2.is_zero():
+                h = rand_compatible_pair(rng, 2)
+            rho = mu = tuple(Matrix.zeros(2, 2) for _ in range(n))
+        else:
+            rep = rand_rep(rng, g)
+            abelian = LieBracket.zero(rep.module_dim)
+            h = CompatiblePair(abelian, abelian)
+            rho, mu = rep.rho, rep.mu
+        m = h.dim
+        w = Cochain.zero(2, n, m)
+        datum = gauge_transform(
+            ExtensionDatum(g, h, rho, mu, w, w), rand_matrix(rng, m, n, -1, 1)
+        )
+        assert validate_extension_datum(datum).ok
+        for xi in (Matrix.zeros(m, n), rand_matrix(rng, m, n)):
+            out.append((datum, xi))
+    return out
+
+
+def run_extend_xi(capsys, tmp_path, datum, xi):
+    path = tmp_path / "ext.alg"
+    path.write_text(extension_text(datum, xi))
+    mode = "abelian" if fibre_is_abelian(datum) else "nonabelian"
+    return run(capsys, "extend", path, "--mode", mode, "--xi", "xi", "--format", "json")
+
+
+def test_extend_xi_verdict_equals_the_validated_transform(capsys, tmp_path):
+    # the CLI reports the theta certificate as the transform's verdict; the
+    # nine equations of the transform are its oracle
+    modes = set()
+    for datum, xi in seeded_extension_data():
+        code, out, err = run_extend_xi(capsys, tmp_path, datum, xi)
+        assert code == 0, err
+        report = json.loads(out)
+        verdicts = {v["name"]: v for v in report["verdicts"]}
+        moved = gauge_transform(datum, xi)
+        expected = cli._verdict_entry(
+            "gauge-transformed-datum", validate_extension_datum(moved)
+        )
+        assert verdicts["gauge-transformed-datum"] == expected
+        # the input round-trips: the report's tables are this transform's
+        entries = sorted(moved.omega1.coeffs.items())
+        rows = cli._entry_rows(((i, j, k), c) for ((i, j), k), c in entries)
+        assert report["tables"]["gauge-omega1"] == rows
+        assert verdicts["isomorphic-under-xi"]["ok"]
+        modes.add((fibre_is_abelian(datum), xi.is_zero()))
+    assert len(modes) == 4
+
+
+def fibre_term(datum: ExtensionDatum, xi: Matrix, h_bracket) -> Cochain:
+    """[xi e_i, xi e_j]_h at each base pair i < j."""
+    n, cols = datum.base_dim, xi.columns()
+    return Cochain(
+        2,
+        n,
+        datum.fibre_dim,
+        {
+            ((i, j), k): c
+            for i, j in combinations(range(n), 2)
+            for k, c in enumerate(h_bracket.bracket(cols[i], cols[j]))
+            if c
+        },
+    )
+
+
+def action_term(datum: ExtensionDatum, xi: Matrix, acts) -> Cochain:
+    """2 rho(e_j) xi(e_i) at each base pair i < j: flips the sign of the
+    transform's -rho(y) xi(x) term when added."""
+    n, cols = datum.base_dim, xi.columns()
+    return Cochain(
+        2,
+        n,
+        datum.fibre_dim,
+        {
+            ((i, j), k): 2 * c
+            for i, j in combinations(range(n), 2)
+            for k, c in enumerate(acts[j].matvec(cols[i]))
+            if c
+        },
+    )
+
+
+def without_fibre_term(datum, xi):
+    moved = extension.gauge_transform(datum, xi)
+    return replace(
+        moved,
+        omega1=moved.omega1 - fibre_term(datum, xi, datum.fibre.bracket1),
+        omega2=moved.omega2 - fibre_term(datum, xi, datum.fibre.bracket2),
+    )
+
+
+def with_flipped_action_term(datum, xi):
+    moved = extension.gauge_transform(datum, xi)
+    return replace(
+        moved,
+        omega1=moved.omega1 + action_term(datum, xi, datum.rho),
+        omega2=moved.omega2 + action_term(datum, xi, datum.mu),
+    )
+
+
+@pytest.mark.parametrize("mutant", [without_fibre_term, with_flipped_action_term])
+def test_extend_xi_refuses_a_wrong_transform(capsys, tmp_path, monkeypatch, mutant):
+    # a gauge transform that drops [xi x, xi y]_h or flips the sign of
+    # rho(y) xi(x) is caught by theta: an internal error, never an ok report
+    monkeypatch.setattr(cli, "gauge_transform", mutant)
+    caught = 0
+    for datum, xi in seeded_extension_data():
+        if mutant(datum, xi) == gauge_transform(datum, xi):
+            continue
+        code, out, err = run_extend_xi(capsys, tmp_path, datum, xi)
+        assert code == cli.INTERNAL_ERROR and out == "", err
+        assert "theta fails" in err
+        caught += 1
+    assert caught >= 5

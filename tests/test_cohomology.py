@@ -8,11 +8,13 @@ from random import Random
 
 import pytest
 
+from compatlie import cohomology
 from compatlie.cohomology import (
     CochainTuple,
     c0_basis,
     ce_matrix,
     coboundary_matrix,
+    coboundary_preimage,
     cohomology_dim,
     cohomology_dims,
     derivation_spaces,
@@ -21,11 +23,20 @@ from compatlie.cohomology import (
     staircase_coboundary,
 )
 from compatlie.core import CompatiblePair, LieBracket, RepPair, adjoint_rep
+from compatlie.document import parse
 from compatlie.linalg import Matrix, SubspaceBasis, vec
 from compatlie.multilinear import Cochain, ce_coboundary
 from compatlie.poisson import degree_block, lie_poisson_rep
-from oracles import ce_adjoint, rank_bareiss
-from support import direct_sum, n2, rand_compatible_pair, rand_invertible, rand_rep, sl2
+from oracles import ce_adjoint, rank_bareiss, solve_fraction
+from support import (
+    direct_sum,
+    n2,
+    rand_compatible_pair,
+    rand_invertible,
+    rand_matrix,
+    rand_rep,
+    sl2,
+)
 
 
 def tuple_space_dim(degree, dim, module_dim):
@@ -561,3 +572,63 @@ def test_dense_dim5_table_equals_the_catalog_table():
     spaces = sum((-1) ** n * space for n, (space, _) in enumerate(table))
     hs = sum((-1) ** n * h for n, (_, h) in enumerate(table))
     assert spaces == hs
+
+
+# -- the degree-1 staircase as the stacked arms ------------------------------------
+
+
+def degree1_cases():
+    """(pair, rep) in catalog and dense bases, with the adjoint module and
+    random modules."""
+    rng = Random(107)
+    s = direct_sum(sl2(), n2())
+    catalog_pairs = [n2_zero_pair(), sl2_pair(), CompatiblePair(s, s)]
+    pairs = catalog_pairs + [
+        p.conjugate(rand_invertible(rng, p.dim)) for p in catalog_pairs
+    ]
+    pairs += [rand_compatible_pair(rng, dim) for dim in (2, 3, 4)]
+    return [(p, rep) for p in pairs for rep in (None, rand_rep(rng, p))]
+
+
+def test_degree1_staircase_is_the_stacked_arms():
+    # one copy at degree 1: the staircase maps phi to (d1 phi, d2 phi)
+    for pair, rep in degree1_cases():
+        module = adjoint_rep(pair) if rep is None else rep
+        d1, d2 = ce_matrix(pair, module, 1, 1), ce_matrix(pair, module, 1, 2)
+        # Matrix equality is shape and entry for entry
+        assert cohomology._stacked(d1, d2) == coboundary_matrix(pair, rep, 1).matrix
+
+
+def slice_preimage(pair, rep, target):
+    """The preimage solved against the degree-1 `coboundary_matrix` slice by
+    the rational solve, as an m x n matrix, or None."""
+    coeffs = solve_fraction(coboundary_matrix(pair, rep, 1).matrix, target.flatten())
+    if coeffs is None:
+        return None
+    n = pair.dim
+    m = n if rep is None else rep.module_dim
+    return Matrix([[coeffs[j * m + k] for j in range(n)] for k in range(m)])
+
+
+def test_coboundary_preimage_equals_the_slice_solve():
+    # the deform input of the CLI digests: w = (pi1, 0) on n2 + zero is
+    # the coboundary of N = e1* (x) e1, the certificate it has always printed
+    doc = parse((Path(__file__).parent / "data" / "n2.alg").read_text())
+    pair = doc.pair()
+    target = CochainTuple(2, [doc.cochain("w1"), doc.cochain("w2")])
+    n_op = coboundary_preimage(pair, None, target)
+    assert n_op == Matrix([[1, 0], [0, 0]])
+    assert n_op == slice_preimage(pair, None, target)
+    # coboundaries of random maps, and random tuples (mostly not closed)
+    rng = Random(109)
+    seen = set()
+    for pair, rep in degree1_cases():
+        m = pair.dim if rep is None else rep.module_dim
+        phi = Cochain.from_matrix(rand_matrix(rng, m, pair.dim))
+        closed = staircase_coboundary(pair, CochainTuple(1, [phi]), rep)
+        flat = vec(rng.randint(-2, 2) for _ in closed.flatten())
+        for target in (closed, CochainTuple.from_flat(2, pair.dim, m, flat)):
+            got = coboundary_preimage(pair, rep, target)
+            assert got == slice_preimage(pair, rep, target)
+            seen.add(got is None)
+    assert seen == {True, False}

@@ -14,7 +14,7 @@ from compatlie.linalg import (
     integer_columns,
     vec,
 )
-from oracles import rank_bareiss, rref_fraction
+from oracles import rank_bareiss, rref_fraction, solve_fraction
 from support import direct_sum, n2, rand_compatible_pair, rand_invertible, rand_matrix
 
 
@@ -297,8 +297,18 @@ def rref_cases():
     pairs = [CompatiblePair(n2n2, n2n2).conjugate(rand_invertible(Random(3), 4))]
     pairs += [rand_compatible_pair(Random(seed), 4) for seed in (3, 4)]
     for pair in pairs:
-        cases += [coboundary_matrix(pair, None, n).matrix for n in (2, 3)]
+        cases += [coboundary_matrix(pair, None, n).matrix for n in (1, 2, 3)]
     return cases
+
+
+def rand_rhs(rng, n):
+    """Mixed denominators, with an entry near 2^80 one time in five."""
+    return vec(
+        Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7)))
+        if rng.random() < 0.8
+        else Fraction(rng.choice((-1, 1)) * (2**80 + rng.randint(-9, 9)), 3)
+        for _ in range(n)
+    )
 
 
 def test_rref_kernel_and_solve_equal_the_rational_gauss_jordan():
@@ -320,9 +330,10 @@ def test_rref_kernel_and_solve_equal_the_rational_gauss_jordan():
             assert not any(m.matvec(v))
         # solve: a right-hand side in the image and one off it (when the
         # image is not everything), checked against the augmented oracle
-        inside = m.matvec(vec(rng.randint(-3, 3) for _ in range(m.cols)))
-        outside = vec(rng.randint(-3, 3) for _ in range(m.rows))
+        inside = m.matvec(rand_rhs(rng, m.cols))
+        outside = rand_rhs(rng, m.rows)
         for b in (inside, outside):
+            assert m.solve(b) == solve_fraction(m, b)
             aug = Matrix._raw(
                 tuple(m.row(i) + (x,) for i, x in enumerate(b)), m.rows, m.cols + 1
             )
