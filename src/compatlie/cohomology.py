@@ -28,12 +28,21 @@ reference those dimensions are tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 from .core import CompatiblePair, InternalCheckError, RepPair, adjoint_rep
-from .linalg import Matrix, SubspaceBasis, Vec, extend_basis, in_span, vadd, vzero
+from .linalg import (
+    Matrix,
+    SubspaceBasis,
+    Vec,
+    _Record,
+    _set,
+    extend_basis,
+    in_span,
+    vadd,
+    vzero,
+)
 from .multilinear import Cochain, sort_with_sign
 
 
@@ -168,15 +177,17 @@ def staircase_coboundary(
     )
 
 
-@dataclass(frozen=True)
-class ComplexSlice:
+class ComplexSlice(_Record):
     """One degree of a complex: a basis of the degree-n space (in flat
     coordinates) and the matrix of the coboundary out of it, with columns
     indexed by that basis."""
 
-    degree: int
-    basis: SubspaceBasis
-    matrix: Matrix
+    __slots__ = _fields = ("degree", "basis", "matrix")
+
+    def __init__(self, degree: int, basis: SubspaceBasis, matrix: Matrix):
+        _set(self, "degree", degree)
+        _set(self, "basis", basis)
+        _set(self, "matrix", matrix)
 
 
 def coboundary_matrix(

@@ -15,31 +15,37 @@ holds the coordinates of rho(e_i)(f_j) in the module basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, Vec, frac
+from .linalg import Matrix, Vec, _Record, _set, frac
 from .multilinear import Cochain, nr_bracket
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(_Record):
     """A failed law: which law, at which (1-based) basis tuple, and the
     lhs - rhs value there."""
 
-    law: str
-    at: tuple[int, ...]
-    value: tuple
+    __slots__ = _fields = ("law", "at", "value")
+
+    def __init__(self, law: str, at: tuple[int, ...], value: tuple):
+        _set(self, "law", law)
+        _set(self, "at", at)
+        _set(self, "value", value)
 
     def describe(self) -> str:
         val = ", ".join(str(x) for x in self.value)
         return f"{self.law} fails at basis tuple {self.at}: lhs - rhs = ({val})"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    ok: bool
-    witness: Witness | None = None
+class Verdict(_Record):
+    """ok, or not ok with the witness of the failure (None when the failure
+    has no witness tuple)."""
+
+    __slots__ = _fields = ("ok", "witness")
+
+    def __init__(self, ok: bool, witness: Witness | None = None):
+        _set(self, "ok", ok)
+        _set(self, "witness", witness)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -248,20 +254,22 @@ def pencil(pair: CompatiblePair, k1, k2) -> LieBracket:
     return LieBracket.from_cochain(c)
 
 
-@dataclass(frozen=True)
-class RepPair:
+class RepPair(_Record):
     """Matrices rho(e_i), mu(e_i) of a representation of a compatible pair
     on a module of dimension module_dim."""
 
-    module_dim: int
-    rho: tuple[Matrix, ...]
-    mu: tuple[Matrix, ...]
+    __slots__ = _fields = ("module_dim", "rho", "mu")
 
-    def __post_init__(self):
-        for mats in (self.rho, self.mu):
+    def __init__(
+        self, module_dim: int, rho: tuple[Matrix, ...], mu: tuple[Matrix, ...]
+    ):
+        for mats in (rho, mu):
             for m in mats:
-                if m.shape() != (self.module_dim, self.module_dim):
+                if m.shape() != (module_dim, module_dim):
                     raise ValueError("representation matrix has wrong shape")
+        _set(self, "module_dim", module_dim)
+        _set(self, "rho", rho)
+        _set(self, "mu", mu)
 
     @classmethod
     def zero(cls, dim: int, module_dim: int) -> "RepPair":

@@ -34,28 +34,27 @@ and solved on integer rows once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 
 from .cohomology import CochainTuple, coboundary_preimage
 from .core import CompatiblePair, LieBracket, Verdict, first_failure
-from .linalg import Matrix, add_image, integer_columns
+from .linalg import Matrix, _Record, _set, add_image, integer_columns
 from .multilinear import Cochain, add_value, nr_bracket
 
 
-@dataclass(frozen=True)
-class DeformationDatum:
+class DeformationDatum(_Record):
     """The generating pair (w1, w2) of a one-parameter deformation."""
 
-    omega1: Cochain
-    omega2: Cochain
+    __slots__ = _fields = ("omega1", "omega2")
 
-    def __post_init__(self):
-        for w in (self.omega1, self.omega2):
+    def __init__(self, omega1: Cochain, omega2: Cochain):
+        for w in (omega1, omega2):
             if w.arity != 2 or w.source_dim != w.target_dim:
                 raise ValueError("deformation components are arity-2 brackets")
-        if self.omega1.source_dim != self.omega2.source_dim:
+        if omega1.source_dim != omega2.source_dim:
             raise ValueError("components live on different spaces")
+        _set(self, "omega1", omega1)
+        _set(self, "omega2", omega2)
 
     @classmethod
     def zero(cls, dim: int) -> "DeformationDatum":

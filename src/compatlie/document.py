@@ -39,11 +39,10 @@ reported with their line number.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import CompatiblePair, LieBracket, RepPair
-from .linalg import Matrix
+from .linalg import Matrix, _Record, _set
 from .multilinear import Cochain
 
 
@@ -84,28 +83,42 @@ def _integer(tok: str, line: int, message: str, seen: dict, least: int = 0) -> i
     return n
 
 
-@dataclass(frozen=True)
-class CochainBlock:
-    source_dim: int
-    target_dim: int
-    entries: tuple  # ((i, j, k, Fraction), ...) 1-based, sorted
+class CochainBlock(_Record):
+    __slots__ = _fields = ("source_dim", "target_dim", "entries")
+
+    def __init__(self, source_dim: int, target_dim: int, entries: tuple):
+        _set(self, "source_dim", source_dim)
+        _set(self, "target_dim", target_dim)
+        _set(self, "entries", entries)  # ((i, j, k, Fraction), ...) 1-based, sorted
 
 
-@dataclass(frozen=True)
-class RepBlock:
-    module_dim: int
-    rho: tuple  # one tuple-of-rows or None per algebra index
-    mu: tuple
+class RepBlock(_Record):
+    __slots__ = _fields = ("module_dim", "rho", "mu")
+
+    def __init__(self, module_dim: int, rho: tuple, mu: tuple):
+        _set(self, "module_dim", module_dim)
+        _set(self, "rho", rho)  # one tuple-of-rows or None per algebra index
+        _set(self, "mu", mu)
 
 
-@dataclass(frozen=True)
-class AlgebraDocument:
-    dim: int
-    pi1: tuple = ()
-    pi2: tuple = ()
-    rep: RepBlock | None = None
-    ops: tuple = ()  # ((name, rows), ...) sorted by name
-    cochains: tuple = ()  # ((name, CochainBlock), ...) sorted by name
+class AlgebraDocument(_Record):
+    __slots__ = _fields = ("dim", "pi1", "pi2", "rep", "ops", "cochains")
+
+    def __init__(
+        self,
+        dim: int,
+        pi1: tuple = (),
+        pi2: tuple = (),
+        rep: RepBlock | None = None,
+        ops: tuple = (),
+        cochains: tuple = (),
+    ):
+        _set(self, "dim", dim)
+        _set(self, "pi1", pi1)
+        _set(self, "pi2", pi2)
+        _set(self, "rep", rep)
+        _set(self, "ops", ops)  # ((name, rows), ...) sorted by name
+        _set(self, "cochains", cochains)  # ((name, CochainBlock), ...) sorted by name
 
     # -- converters to library objects --------------------------------------
 

@@ -38,7 +38,6 @@ forms of the gauge action and its rational sum are test references
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -54,29 +53,41 @@ from .core import (
     Witness,
     first_failure,
 )
-from .linalg import Matrix, Vec, add_image, integer_columns, vsub
+from .linalg import Matrix, Vec, _Record, _set, add_image, integer_columns, vsub
 from .multilinear import Cochain, add_value, nr_bracket, nr_compose
 
 
-@dataclass(frozen=True)
-class ExtensionDatum:
-    base: CompatiblePair  # g
-    fibre: CompatiblePair  # h
-    rho: tuple[Matrix, ...]
-    mu: tuple[Matrix, ...]
-    omega1: Cochain
-    omega2: Cochain
+class ExtensionDatum(_Record):
+    """Base g, fibre h, actions (rho, mu) of g on h and the cochains
+    (w1, w2) from wedge^2 g to h.  It has no `__slots__`: the cached
+    properties keep their values in the instance `__dict__`."""
 
-    def __post_init__(self):
-        n, m = self.base.dim, self.fibre.dim
-        if len(self.rho) != n or len(self.mu) != n:
+    _fields = ("base", "fibre", "rho", "mu", "omega1", "omega2")
+
+    def __init__(
+        self,
+        base: CompatiblePair,
+        fibre: CompatiblePair,
+        rho: tuple[Matrix, ...],
+        mu: tuple[Matrix, ...],
+        omega1: Cochain,
+        omega2: Cochain,
+    ):
+        n, m = base.dim, fibre.dim
+        if len(rho) != n or len(mu) != n:
             raise ValueError("need one action matrix per base basis vector")
-        for mat in self.rho + self.mu:
+        for mat in rho + mu:
             if mat.shape() != (m, m):
                 raise ValueError("action matrices must act on the fibre")
-        for w in (self.omega1, self.omega2):
+        for w in (omega1, omega2):
             if (w.arity, w.source_dim, w.target_dim) != (2, n, m):
                 raise ValueError("cochains must map wedge^2 g to h")
+        _set(self, "base", base)  # g
+        _set(self, "fibre", fibre)  # h
+        _set(self, "rho", rho)
+        _set(self, "mu", mu)
+        _set(self, "omega1", omega1)
+        _set(self, "omega2", omega2)
 
     @property
     def base_dim(self):
@@ -104,11 +115,13 @@ class ExtensionDatum:
         return nr_compose(p1, p1), nr_compose(p2, p2), nr_bracket(p1, p2)
 
 
-@dataclass(frozen=True)
-class Section:
+class Section(_Record):
     """A linear right inverse of the projection of an extension."""
 
-    sigma: Matrix  # (n+m) x n
+    __slots__ = _fields = ("sigma",)
+
+    def __init__(self, sigma: Matrix):
+        _set(self, "sigma", sigma)  # (n+m) x n
 
     def shifted(self, embed: Matrix, xi: Matrix) -> "Section":
         """The section sigma + embed . xi."""

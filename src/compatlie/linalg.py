@@ -18,11 +18,15 @@ replaced is the test reference (`tests/oracles.py`).
 `cleared` is the one place where rationals become integers over a common
 denominator, for the elimination, for `integer_columns` (applied by
 `add_image`) and for the cochain rows and arguments of `multilinear`.
+
+`_Record` is the base of the package's small immutable value classes
+(`SubspaceBasis` here; verdicts, representations, data and document blocks
+elsewhere): equality, hashing and repr over the declared fields, and no
+assignment after construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -324,17 +328,53 @@ class Matrix:
         return tuple(x)
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
+# Each record's `__init__` sets its fields through this, past `__setattr__`.
+_set = object.__setattr__
+
+
+class _Record:
+    """An immutable value: equal to another instance of the same class with
+    equal `_fields`, hashed and shown as the tuple of those fields; every
+    assignment or deletion raises AttributeError.  A subclass lists its
+    fields in `_fields` (and `__slots__`) and sets them in `__init__` with
+    `_set`."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SubspaceBasis(_Record):
     """Linearly independent vectors spanning a subspace of Q^ambient_dim."""
 
-    ambient_dim: int
-    vectors: tuple[Vec, ...]
+    __slots__ = _fields = ("ambient_dim", "vectors")
 
-    def __post_init__(self):
-        for v in self.vectors:
-            if len(v) != self.ambient_dim:
+    def __init__(self, ambient_dim: int, vectors: tuple[Vec, ...]):
+        for v in vectors:
+            if len(v) != ambient_dim:
                 raise ValueError("basis vector has wrong length")
+        _set(self, "ambient_dim", ambient_dim)
+        _set(self, "vectors", vectors)
 
     def __len__(self) -> int:
         return len(self.vectors)

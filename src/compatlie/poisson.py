@@ -19,29 +19,31 @@ geometry stays on paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
 
 from .cohomology import reduced_cohomology_dims
 from .core import CompatiblePair, InternalCheckError, LieBracket, RepPair
-from .linalg import Matrix
+from .linalg import Matrix, _Record, _set
 
 
-@dataclass(frozen=True)
-class PolyBasis:
+class PolyBasis(_Record):
     """Monomials of total degree <= max_degree in dim coordinates, graded
-    lexicographically: by degree, then with xi_1 heaviest."""
+    lexicographically: by degree, then with xi_1 heaviest.  The index of
+    each monomial (`_position`) is not a field: equality, hashing and repr
+    ignore it."""
 
-    dim: int
-    max_degree: int
-    monomials: tuple[tuple[int, ...], ...]
-    _position: dict = field(init=False, repr=False, compare=False)
+    _fields = ("dim", "max_degree", "monomials")
+    __slots__ = (*_fields, "_position")
 
-    def __post_init__(self):
-        position = {a: i for i, a in enumerate(self.monomials)}
-        object.__setattr__(self, "_position", position)
+    def __init__(
+        self, dim: int, max_degree: int, monomials: tuple[tuple[int, ...], ...]
+    ):
+        _set(self, "dim", dim)
+        _set(self, "max_degree", max_degree)
+        _set(self, "monomials", monomials)
+        _set(self, "_position", {a: i for i, a in enumerate(monomials)})
 
     @classmethod
     def build(cls, dim: int, max_degree: int) -> "PolyBasis":
@@ -74,12 +76,14 @@ class PolyBasis:
         return [i for i, a in enumerate(self.monomials) if sum(a) == d]
 
 
-@dataclass(frozen=True)
-class PolyRep:
+class PolyRep(_Record):
     """The pair action on a PolyBasis, packaged as a RepPair."""
 
-    basis: PolyBasis
-    rep: RepPair
+    __slots__ = _fields = ("basis", "rep")
+
+    def __init__(self, basis: PolyBasis, rep: RepPair):
+        _set(self, "basis", basis)
+        _set(self, "rep", rep)
 
 
 def _derivation_matrix(bracket: LieBracket, basis: PolyBasis, i: int) -> Matrix:

@@ -3,7 +3,6 @@ import functools
 import hashlib
 import io
 import json
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -902,19 +901,25 @@ def action_term(datum: ExtensionDatum, xi: Matrix, acts) -> Cochain:
 
 def without_fibre_term(datum, xi):
     moved = extension.gauge_transform(datum, xi)
-    return replace(
-        moved,
-        omega1=moved.omega1 - fibre_term(datum, xi, datum.fibre.bracket1),
-        omega2=moved.omega2 - fibre_term(datum, xi, datum.fibre.bracket2),
+    return ExtensionDatum(
+        moved.base,
+        moved.fibre,
+        moved.rho,
+        moved.mu,
+        moved.omega1 - fibre_term(datum, xi, datum.fibre.bracket1),
+        moved.omega2 - fibre_term(datum, xi, datum.fibre.bracket2),
     )
 
 
 def with_flipped_action_term(datum, xi):
     moved = extension.gauge_transform(datum, xi)
-    return replace(
-        moved,
-        omega1=moved.omega1 + action_term(datum, xi, datum.rho),
-        omega2=moved.omega2 + action_term(datum, xi, datum.mu),
+    return ExtensionDatum(
+        moved.base,
+        moved.fibre,
+        moved.rho,
+        moved.mu,
+        moved.omega1 + action_term(datum, xi, datum.rho),
+        moved.omega2 + action_term(datum, xi, datum.mu),
     )
 
 

@@ -1,6 +1,8 @@
 import ast
+import subprocess
 import sys
 from collections import defaultdict
+from fractions import Fraction
 from pathlib import Path
 from random import Random
 
@@ -8,10 +10,13 @@ import pytest
 
 import compatlie
 from compatlie import multilinear
+from compatlie.cohomology import coboundary_matrix
 from compatlie.core import (
     CompatiblePair,
     LieBracket,
     RepPair,
+    Verdict,
+    Witness,
     adjoint_rep,
     combination,
     jacobiator,
@@ -20,7 +25,12 @@ from compatlie.core import (
     validate_pair,
     validate_rep,
 )
-from compatlie.linalg import Matrix, vec
+from compatlie.deformation import DeformationDatum
+from compatlie.document import AlgebraDocument, CochainBlock, RepBlock
+from compatlie.extension import ExtensionDatum, Section
+from compatlie.linalg import Matrix, SubspaceBasis, vec
+from compatlie.multilinear import Cochain
+from compatlie.poisson import PolyBasis, lie_poisson_rep
 from support import (
     n2,
     rand_compatible_pair,
@@ -324,3 +334,127 @@ def test_library_imports_only_the_standard_library():
                 if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert found == []
+
+
+def test_library_does_not_import_dataclasses():
+    # the value records are plain classes on `linalg._Record`: importing
+    # dataclasses (and the inspect it pulls in) costs every process
+    files = sorted(Path(compatlie.__file__).parent.glob("*.py"))
+    assert files
+    found = []
+    for f in files:
+        for node in ast.walk(ast.parse(f.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{f.name}:{node.lineno}:{name}"
+                for name in names
+                if name.split(".")[0] == "dataclasses"
+            ]
+    assert found == []
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    # a fresh interpreter without site hooks, so only compatlie's own
+    # imports count
+    src = Path(compatlie.__file__).parent.parent
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import compatlie.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(src)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def record_examples():
+    """A fresh instance of each of the package's value records."""
+    pair = CompatiblePair(n2(), LieBracket.zero(2))
+    rep = adjoint_rep(pair)
+    z = tuple(Matrix.zeros(1, 1) for _ in range(2))
+    w = Cochain(2, 2, 1, {((0, 1), 0): 1})
+    witness = Witness("jacobi", (1, 2, 3), (Fraction(1, 2),))
+    return [
+        witness,
+        Verdict(False, witness),
+        rep,
+        SubspaceBasis(2, (vec([1, 0]),)),
+        coboundary_matrix(pair, rep, 1),
+        DeformationDatum.zero(2),
+        CochainBlock(2, 1, ((1, 2, 1, Fraction(1)),)),
+        RepBlock(1, (((1,),), None), (None, None)),
+        AlgebraDocument(dim=2, pi1=((1, 2, 2, Fraction(1)),)),
+        ExtensionDatum(pair, CompatiblePair(LieBracket.zero(1), LieBracket.zero(1)), z, z, w, w),
+        Section(Matrix.from_columns([vec([1, 0, 0]), vec([0, 1, 0])], rows=3)),
+        PolyBasis.build(2, 2),
+        lie_poisson_rep(pair, 1),
+    ]
+
+
+def test_records_compare_hash_and_show_by_their_fields():
+    ones, twos = record_examples(), record_examples()
+    assert len({type(r) for r in ones}) == len(ones) == 13
+    for i, (a, b) in enumerate(zip(ones, twos)):
+        assert a is not b and a == b, type(a)
+        assert all(a != c for j, c in enumerate(twos) if j != i)
+        if isinstance(a, (DeformationDatum, ExtensionDatum)):
+            # like a tuple holding one, a record holding a Cochain is unhashable
+            with pytest.raises(TypeError):
+                hash(a)
+        else:
+            assert hash(a) == hash(b), type(a)
+    # RepPair and RepBlock have the same fields; equal values of different
+    # classes are not equal
+    rho = (Matrix.zeros(1, 1),)
+    assert RepPair(1, rho, rho) != RepBlock(1, rho, rho)
+    assert repr(ones[0]) == (
+        "Witness(law='jacobi', at=(1, 2, 3), value=(Fraction(1, 2),))"
+    )
+
+
+def test_records_refuse_assignment():
+    for r in record_examples():
+        field = type(r)._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(r, field, None)
+        with pytest.raises(AttributeError):
+            delattr(r, field)
+        with pytest.raises(AttributeError):
+            r.extra = None
+
+
+def test_poly_basis_equality_ignores_the_monomial_index():
+    a, b = PolyBasis.build(2, 2), PolyBasis.build(2, 2)
+    b._position.clear()
+    assert a == b and hash(a) == hash(b)
+    assert "_position" not in repr(a)
+    assert PolyBasis(2, 1, a.monomials[:3]) != PolyBasis(2, 2, a.monomials[:3])
+
+
+def test_record_constructors_check_their_shapes():
+    one = Matrix.zeros(1, 1)
+    with pytest.raises(ValueError, match="representation matrix has wrong shape"):
+        RepPair(2, (Matrix.zeros(2, 2),), (one,))
+    with pytest.raises(ValueError, match="basis vector has wrong length"):
+        SubspaceBasis(3, (vec([1, 0]),))
+    with pytest.raises(ValueError, match="components live on different spaces"):
+        DeformationDatum(Cochain.zero(2, 2, 2), Cochain.zero(2, 3, 3))
+    g = CompatiblePair(LieBracket.zero(2), LieBracket.zero(2))
+    h = CompatiblePair(LieBracket.zero(1), LieBracket.zero(1))
+    w = Cochain.zero(2, 2, 1)
+    for rho, omega1, message in (
+        ((one,), w, "need one action matrix per base basis vector"),
+        ((one, Matrix.zeros(2, 2)), w, "action matrices must act on the fibre"),
+        ((one, one), Cochain.zero(2, 2, 2), "cochains must map wedge"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            ExtensionDatum(g, h, rho, (one, one), omega1, w)

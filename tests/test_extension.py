@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from random import Random
@@ -922,14 +921,12 @@ def test_theta_check_catches_each_perturbed_piece():
         rho, mu = list(moved.rho), list(moved.mu)
         rho[i] = rho[i] + bump
         mu[i] = mu[i] + bump
+        base, fibre, w1, w2 = moved.base, moved.fibre, moved.omega1, moved.omega2
+        bump_w1 = w1 + Cochain(2, n, m, {((0, n - 1), rng.randrange(m)): delta})
         for bad in (
-            replace(
-                moved,
-                omega1=moved.omega1
-                + Cochain(2, n, m, {((0, n - 1), rng.randrange(m)): delta}),
-            ),
-            replace(moved, rho=tuple(rho)),
-            replace(moved, mu=tuple(mu)),
+            ExtensionDatum(base, fibre, moved.rho, moved.mu, bump_w1, w2),
+            ExtensionDatum(base, fibre, tuple(rho), moved.mu, w1, w2),
+            ExtensionDatum(base, fibre, moved.rho, tuple(mu), w1, w2),
         ):
             assert not theta_intertwines_matrix(datum, bad, xi)
             with pytest.raises(InternalCheckError):
