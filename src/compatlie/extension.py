@@ -201,7 +201,8 @@ def assemble_brackets(datum: ExtensionDatum) -> tuple[LieBracket, LieBracket]:
     the equivalence 'nine equations <-> assembled pair is compatible' can
     be tested in both directions).  Each table is filed from the stored
     nonzeros of the base bracket, the cochain, the action matrices and the
-    fibre bracket, and checked once, as a `Cochain`."""
+    fibre bracket, at shifted keys that stay increasing and in range, so
+    the parts, checked when they were built, are not checked again."""
     g, h = datum.base, datum.fibre
     n, m = g.dim, h.dim
 
@@ -216,7 +217,7 @@ def assemble_brackets(datum: ExtensionDatum) -> tuple[LieBracket, LieBracket]:
                         coeffs[((i, n + a), n + k)] = c
         for ((a, b), k), c in h_br.to_cochain().coeffs.items():
             coeffs[((n + a, n + b), n + k)] = c
-        return LieBracket.from_cochain(Cochain(2, n + m, n + m, coeffs))
+        return LieBracket.from_cochain(Cochain.unchecked(2, n + m, n + m, coeffs))
 
     return (
         build(g.bracket1, h.bracket1, datum.rho, datum.omega1),

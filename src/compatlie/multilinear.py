@@ -12,7 +12,8 @@ integer terms, at any arity; `Cochain.from_integer_values` turns a finished
 integer table into a cochain, building each nonzero Fraction once.
 `eval_vectors`, `nr_compose` and the closed forms of `deformation` and
 `extension` are written with these three (the rational sums are the test
-oracles `eval_vectors_fraction` and `nr_compose_fraction`).
+oracles `eval_vectors_fraction`, `nr_compose_fraction` and
+`nr_bracket_fraction`).
 
 The graded Lie structure: a cochain of arity p+1 has degree p, and
 
@@ -20,12 +21,18 @@ The graded Lie structure: a cochain of arity p+1 has degree p, and
     (P . Q)(x_1..x_{p+q+1}) = sum, over every (q+1, p)-unshuffle s, of
         sign(s) P(Q(x_{s(1)}..x_{s(q+1)}), x_{s(q+2)}..x_{s(p+q+1)}).
 
-`nr_compose` evaluates this sum as a scatter over the operands' integer
-rows, for endomorphism-valued cochains only.  Module coefficients enter the
-library through the Chevalley-Eilenberg arm matrices of
-`cohomology.ce_matrix`; `ce_coboundary` is the per-subset sum they are
-tested against.  The lifts to a direct sum that carry module cochains into
-the bracket are test references (`tests/oracles.py`).
+Both are integer scatters over the operands' rows, for endomorphism-valued
+cochains only.  `_add_composition` files P's rows once per slot and adds
+each whole signed row of P wherever an entry of Q meets it, with one merge
+sign per (entry, filed row).  `nr_bracket` scatters P.Q and -(-1)^{pq} Q.P
+into one integer table (P.P once with factor 2 when P is Q in odd degree,
+nothing in even degree) and builds its Fractions once; `nr_compose` is a
+single composition.  `Cochain` checks each distinct subset of its table
+once, and `Cochain.unchecked` takes a table already in stored form.  Module
+coefficients enter the library through the Chevalley-Eilenberg arm
+matrices of `cohomology.ce_matrix`; `ce_coboundary` is the per-subset sum
+they are tested against.  The lifts to a direct sum that carry module
+cochains into the bracket are test references (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -61,10 +68,19 @@ def sort_with_sign(indices) -> tuple[Subset, int] | None:
     return tuple(idx), sign
 
 
-# `sort_with_sign` of the index tuples `nr_compose` merges, kept for the
+# `sort_with_sign` of the index tuples `_add_composition` merges, kept for the
 # process: the same (inner, outer) merges recur in every composition of one
 # dimension and arity.  Bounded, so large dimensions cannot grow it unchecked.
 _merge_sign = lru_cache(maxsize=4096)(sort_with_sign)
+
+
+def _check_subset(subset: Subset, arity: int, source_dim: int) -> None:
+    """Raise unless the subset is increasing, of size `arity`, with every
+    index below `source_dim`."""
+    if len(subset) != arity or any(a >= b for a, b in zip(subset, subset[1:])):
+        raise ValueError(f"subset {subset} is not increasing of size {arity}")
+    if subset and not 0 <= subset[0] <= subset[-1] < source_dim:
+        raise ValueError("index out of range")
 
 
 class Cochain:
@@ -83,16 +99,17 @@ class Cochain:
         self.source_dim = source_dim
         self.target_dim = target_dim
         table: dict[tuple[Subset, int], Fraction] = {}
+        # each distinct subset is checked once, every entry's target and value
+        checked: set[Subset] = set()
         for (subset, k), c in (coeffs or {}).items():
             subset = tuple(subset)
             c = frac(c)
             if c == 0:
                 continue
-            if len(subset) != arity or any(
-                a >= b for a, b in zip(subset, subset[1:])
-            ):
-                raise ValueError(f"subset {subset} is not increasing of size {arity}")
-            if not all(0 <= i < source_dim for i in subset) or not 0 <= k < target_dim:
+            if subset not in checked:
+                _check_subset(subset, arity, source_dim)
+                checked.add(subset)
+            if not 0 <= k < target_dim:
                 raise ValueError("index out of range")
             table[(subset, k)] = c
         self.coeffs = table
@@ -122,17 +139,19 @@ class Cochain:
         order."""
         coeffs = {}
         for subset in sorted(values):
-            if len(subset) != arity or any(
-                a >= b for a, b in zip(subset, subset[1:])
-            ):
-                raise ValueError(f"subset {subset} is not increasing of size {arity}")
-            if subset and not 0 <= subset[0] <= subset[-1] < source_dim:
-                raise ValueError("index out of range")
+            _check_subset(subset, arity, source_dim)
             for k, v in sorted(values[subset].items()):
                 if v:
                     if not 0 <= k < target_dim:
                         raise ValueError("index out of range")
                     coeffs[(subset, k)] = Fraction(v, den)
+        return cls.unchecked(arity, source_dim, target_dim, coeffs)
+
+    @classmethod
+    def unchecked(cls, arity, source_dim, target_dim, coeffs) -> "Cochain":
+        """A cochain on a table already in stored form: increasing tuple
+        subsets in range, targets in range and nonzero Fraction values,
+        none of which is checked again."""
         f = cls.__new__(cls)
         f.arity, f.source_dim, f.target_dim = arity, source_dim, target_dim
         f.coeffs = coeffs
@@ -331,65 +350,78 @@ def add_value(acc: dict[int, int], rows, vectors, factor: int = 1) -> None:
 # -- Nijenhuis-Richardson bracket ----------------------------------------------
 
 
-def nr_compose(p: Cochain, q: Cochain) -> Cochain:
-    """P . Q as a scatter over the stored nonzeros; endomorphism-valued
-    cochains only.  Each entry (J, t, d) of P is filed under every slot k of
-    J as (O, t, (-1)^pos_J(k) d), O = J minus k; each entry (I, k, c) of Q
-    meets those filed under k, signed by sorting I u O (overlaps vanish).
-
-    The scatter runs on the operands' `integer_rows`, over L_p and L_q, and
-    the integer table is read over L_p L_q by `from_integer_values`, so the
-    result is that of a rational scatter, entry for entry."""
+def _check_endomorphisms(p: Cochain, q: Cochain) -> None:
+    """Raise unless P and Q are endomorphism-valued on one space."""
     for f in (p, q):
         if f.source_dim != f.target_dim:
             raise ValueError("nr_compose needs endomorphism-valued cochains")
     if p.source_dim != q.source_dim:
         raise ValueError("dimension mismatch")
-    n = p.source_dim
-    if p.arity == 0:
-        # no slot to plug Q into; the composition is identically zero
-        return Cochain.zero(max(q.arity - 1, 0), n, n)
-    lp, prows = p.integer_rows()
-    lq, qrows = q.integer_rows()
+
+
+def _add_composition(table: dict, p: Cochain, q: Cochain, factor: int) -> None:
+    """table += factor * P . Q on integers over L_p L_q, the product of
+    the operands' `integer_rows` denominators; table maps each increasing
+    subset to {target: integer}.
+
+    Each row (J, ((t, d), ..)) of P is filed under every slot k of J as
+    (O, (-1)^pos_J(k), row), O = J minus k; each entry (I, k, c) of Q meets
+    those filed under k with one merge sign of I u O (overlaps vanish) and
+    adds the whole signed row there.  An arity-0 P has no slot: it adds
+    nothing."""
     filed: dict[int, list] = {}
-    for subset, row in prows.items():
+    for subset, row in p.integer_rows()[1].items():
         for pos, k in enumerate(subset):
             rest = subset[:pos] + subset[pos + 1 :]
-            sign = -1 if pos % 2 else 1
-            filed.setdefault(k, []).extend((rest, t, sign * d) for t, d in row)
-    # per (inner, outer): the result row of the sorted I u O and the sign
-    # of the sort, or () for an overlap
-    hits: dict = {}
-    table: dict[Subset, dict[int, int]] = {}
-    for inner, row in qrows.items():
-        for k, c in row:
-            for outer, t, d in filed.get(k, ()):
-                hit = hits.get((inner, outer))
-                if hit is None:
-                    ss = _merge_sign(inner + outer)
-                    hit = () if ss is None else (table.setdefault(ss[0], {}), ss[1])
-                    hits[inner, outer] = hit
-                if not hit:
+            filed.setdefault(k, []).append((rest, -factor if pos % 2 else factor, row))
+    for inner, qrow in q.integer_rows()[1].items():
+        for k, c in qrow:
+            for outer, sign, row in filed.get(k, ()):
+                merged = _merge_sign(inner + outer)
+                if merged is None:
                     continue
-                acc, sign = hit
-                acc[t] = acc.get(t, 0) + (c * d if sign == 1 else -c * d)
-    return Cochain.from_integer_values(p.arity + q.arity - 1, n, n, lp * lq, table)
+                subset, merge = merged
+                acc = table.get(subset)
+                if acc is None:
+                    acc = table[subset] = {}
+                c_row = c * sign if merge == 1 else -c * sign
+                for t, d in row:
+                    acc[t] = acc.get(t, 0) + c_row * d
+
+
+def _from_table(p: Cochain, q: Cochain, table: dict) -> Cochain:
+    """The cochain of an integer table `_add_composition` filled from P and
+    Q, read over L_p L_q."""
+    n, arity = p.source_dim, max(p.arity + q.arity - 1, 0)
+    den = p.integer_rows()[0] * q.integer_rows()[0]
+    return Cochain.from_integer_values(arity, n, n, den, table)
+
+
+def nr_compose(p: Cochain, q: Cochain) -> Cochain:
+    """P . Q as one integer scatter over the stored nonzeros
+    (`_add_composition`); endomorphism-valued cochains only.  The table is
+    read over L_p L_q by `from_integer_values`, so the result is that of a
+    rational scatter, entry for entry."""
+    _check_endomorphisms(p, q)
+    table: dict = {}
+    _add_composition(table, p, q, 1)
+    return _from_table(p, q, table)
 
 
 def nr_bracket(p: Cochain, q: Cochain) -> Cochain:
-    """[P,Q]_NR = P.Q - (-1)^{pq} Q.P with degrees p = arity(P)-1 etc."""
-    pq = (p.arity - 1) * (q.arity - 1)
-    if p is q and pq % 2 == 0:
-        # Q.P is P.P again, so [P, P] vanishes in even degree (arity >= 1)
-        if p.source_dim != p.target_dim:
-            raise ValueError("nr_compose needs endomorphism-valued cochains")
-        return Cochain.zero(2 * p.arity - 1, p.source_dim, p.source_dim)
-    left = nr_compose(p, q)
-    if p is q:
-        # and 2 P.P in odd degree
-        return left + left
-    right = nr_compose(q, p)
-    return left - right if pq % 2 == 0 else left + right
+    """[P,Q]_NR = P.Q - (-1)^{pq} Q.P with degrees p = arity(P)-1 etc.,
+    scattered into one integer table over L_p L_q: both compositions, or
+    for P is Q the one composition P.P twice in odd degree and none in even
+    degree, where [P, P] vanishes."""
+    _check_endomorphisms(p, q)
+    odd = (p.arity - 1) * (q.arity - 1) % 2
+    table: dict = {}
+    if p is not q:
+        _add_composition(table, p, q, 1)
+        _add_composition(table, q, p, 1 if odd else -1)
+    elif odd:
+        _add_composition(table, p, p, 2)
+    return _from_table(p, q, table)
 
 
 # -- Chevalley-Eilenberg coboundary ---------------------------------------------

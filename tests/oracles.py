@@ -6,16 +6,16 @@ direct sum: lifts with bidegrees, the Nijenhuis-Richardson form of the
 coboundaries, the Maurer-Cartan elements of an extension, the twisted
 differentials and the gauge exponential.  Those descriptions live here,
 with the defining sums the sparse kernels replaced (unshuffles, evaluation
-on every index tuple), the rational scatter the integer `nr_compose`
-replaced, the rational evaluation the integer `Cochain.eval_vectors`
-replaced, the rational Gauss-Jordan the integer `Matrix.rref` and
-`Matrix.solve` replaced (`rref_fraction`, `solve_fraction`), a
-fraction-free (Bareiss) rank, the entrywise assembly of the direct-sum
-brackets, the staircase and hand-expanded forms of the deformation
-checks, and the rational sums the integer gauge transform, Nijenhuis
-torsion and equivalence layers replaced, and the `json.dumps` call the
-fixed-schema report writer replaced.  Nothing in `compatlie` imports this
-module.
+on every index tuple), the rational scatters the integer `nr_compose` and
+`nr_bracket` replaced, the rational evaluation the integer
+`Cochain.eval_vectors` replaced, the rational Gauss-Jordan the integer
+`Matrix.rref` and `Matrix.solve` replaced (`rref_fraction`,
+`solve_fraction`), a fraction-free (Bareiss) rank, the entrywise and the
+re-checked assembly of the direct-sum brackets, the staircase and
+hand-expanded forms of the deformation checks, and the rational sums the
+integer gauge transform, Nijenhuis torsion and equivalence layers
+replaced, and the `json.dumps` call the fixed-schema report writer
+replaced.  Nothing in `compatlie` imports this module.
 """
 
 import json
@@ -125,6 +125,18 @@ def nr_compose_fraction(p: Cochain, q: Cochain) -> Cochain:
             table[(subset, t)] = prev + c * d if sign == 1 else prev - c * d
     # lexicographic storage order, as every other constructor gives
     return Cochain(p.arity + q.arity - 1, n, n, dict(sorted(table.items())))
+
+
+def nr_bracket_fraction(p: Cochain, q: Cochain) -> Cochain:
+    """[P, Q]_NR = P.Q - (-1)^{pq} Q.P as the rational sum of the two
+    `nr_compose_fraction` scatters, stored in lexicographic order: the
+    reference for the one integer table of `nr_bracket`."""
+    pq = (p.arity - 1) * (q.arity - 1)
+    left = nr_compose_fraction(p, q)
+    right = nr_compose_fraction(q, p)
+    total = left - right if pq % 2 == 0 else left + right
+    n = p.source_dim
+    return Cochain(total.arity, n, n, dict(sorted(total.coeffs.items())))
 
 
 def eval_vectors_fraction(f: Cochain, vectors) -> tuple:
@@ -763,6 +775,34 @@ def assemble_brackets_entrywise(datum: ExtensionDatum):
         return LieBracket(n + m, entries)
 
     g, h = datum.base, datum.fibre
+    return (
+        build(g.bracket1, h.bracket1, datum.rho, datum.omega1),
+        build(g.bracket2, h.bracket2, datum.mu, datum.omega2),
+    )
+
+
+def assemble_brackets_checked(datum: ExtensionDatum):
+    """The two direct-sum brackets filed from the stored nonzeros of the
+    parts at shifted keys, in the same order, with the finished table
+    checked again by the validating `Cochain` constructor: the reference
+    for `extension.assemble_brackets`, which stores the same keys
+    unchecked."""
+    g, h = datum.base, datum.fibre
+    n, m = g.dim, h.dim
+
+    def build(g_br, h_br, act, w):
+        coeffs = dict(g_br.to_cochain().coeffs)
+        for (ij, k), c in w.coeffs.items():
+            coeffs[(ij, n + k)] = c
+        for i, mat in enumerate(act):
+            for k in range(m):
+                for a, c in enumerate(mat.row(k)):
+                    if c:
+                        coeffs[((i, n + a), n + k)] = c
+        for ((a, b), k), c in h_br.to_cochain().coeffs.items():
+            coeffs[((n + a, n + b), n + k)] = c
+        return LieBracket.from_cochain(Cochain(2, n + m, n + m, coeffs))
+
     return (
         build(g.bracket1, h.bracket1, datum.rho, datum.omega1),
         build(g.bracket2, h.bracket2, datum.mu, datum.omega2),

@@ -452,14 +452,13 @@ def test_deform_nijenhuis_builds_the_nr_coboundary_once(capsys, monkeypatch):
     # [pi_i, N]_NR make 20 compositions (24 when it was built twice)
     monkeypatch.chdir(DATA)
     calls = []
-    compose = multilinear.nr_compose
+    scatter = multilinear._add_composition
 
-    def counted(p, q):
+    def counted(table, p, q, factor):
         calls.append((p.arity, q.arity))
-        return compose(p, q)
+        return scatter(table, p, q, factor)
 
-    monkeypatch.setattr(multilinear, "nr_compose", counted)
-    monkeypatch.setattr(extension, "nr_compose", counted)
+    monkeypatch.setattr(multilinear, "_add_composition", counted)
     argv = ("deform", "n2.alg", "--omega", "w", "--nijenhuis", "N", "--format", "json")
     code, out, _ = run(capsys, *argv)
     assert code == 0
@@ -474,13 +473,13 @@ def test_check_computes_each_jacobiator_once(capsys, monkeypatch):
     # bracket keeps: one composition per Jacobiator, two for the mixed
     # bracket and one per pencil probe
     calls = []
-    compose = multilinear.nr_compose
+    scatter = multilinear._add_composition
 
-    def counted(p, q):
+    def counted(table, p, q, factor):
         calls.append((p.arity, q.arity))
-        return compose(p, q)
+        return scatter(table, p, q, factor)
 
-    monkeypatch.setattr(multilinear, "nr_compose", counted)
+    monkeypatch.setattr(multilinear, "_add_composition", counted)
     code, out, _ = run(capsys, "check", DATA / "sl2_pair.alg", "--seed", "3")
     assert code == 0 and "FAIL" not in out
     assert "pencil-probe-2" in out

@@ -2,6 +2,7 @@ import ast
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 from random import Random
@@ -22,7 +23,14 @@ from compatlie.cohomology import (
     reduced_slice,
     staircase_coboundary,
 )
-from compatlie.core import CompatiblePair, LieBracket, RepPair, adjoint_rep
+from compatlie.core import (
+    CompatiblePair,
+    LieBracket,
+    RepPair,
+    adjoint_rep,
+    pencil,
+    validate_rep,
+)
 from compatlie.document import parse
 from compatlie.linalg import Matrix, SubspaceBasis, vec
 from compatlie.multilinear import Cochain, ce_coboundary
@@ -541,6 +549,55 @@ def test_staircase_dims_invariant_under_swapping_the_brackets():
             pair = rand_compatible_pair(rng, dim)
             swapped = CompatiblePair(pair.bracket2, pair.bracket1)
             assert h_table(swapped) == h_table(pair)
+
+
+def pencil_moved(pair, rep, g):
+    """(a pi1 + b pi2, c pi1 + d pi2) and (a rho + b mu, c rho + d mu) for
+    g = ((a, b), (c, d)) in GL(2, Q), validated; rep None is the adjoint
+    module, which moves with the pair."""
+    (a, b), (c, d) = g
+    moved = CompatiblePair(pencil(pair, a, b), pencil(pair, c, d))
+    if rep is None:
+        return moved, None
+    rho = tuple(r.scale(a) + m.scale(b) for r, m in zip(rep.rho, rep.mu))
+    mu = tuple(r.scale(c) + m.scale(d) for r, m in zip(rep.rho, rep.mu))
+    moved_rep = RepPair(rep.module_dim, rho, mu)
+    assert validate_rep(moved, moved_rep).ok
+    return moved, moved_rep
+
+
+def test_staircase_dims_invariant_under_gl2_pencil_changes():
+    # the degree-n staircase is C^n tensor Q[s, t]_{n-1} with coboundary
+    # s d1 + t d2, so a linear change of (s, t) carries the complex of
+    # (pi1, pi2, rho, mu) onto that of its GL(2, Q) move in every degree
+    # n >= 1: h_n for n >= 2, the spaces for n >= 1 and
+    # dim ker D^1 = h_1 + space_0 - h_0 are invariant; degree 0, the
+    # subspace {rho(x) = mu(x)}, is not, so h_0 and h_1 may change
+    moves = (
+        ((0, 1), (1, 0)),
+        ((Fraction(1, 2), 3), (-1, 2)),
+        ((1, 1), (0, 1)),
+        ((2, 0), (1, -1)),
+    )
+    rng = Random(89)
+    # (n2, n2) has degree 0 everything; its move (2 n2, 0) only the centre
+    cases = [(CompatiblePair(n2(), n2()), None)]
+    for dim, count in ((2, 2), (3, 2), (4, 1)):
+        for _ in range(count):
+            pair = rand_compatible_pair(rng, dim)
+            cases += [(pair, None), (pair, rand_rep(rng, pair, max_module_dim=2))]
+    low_moved = 0
+    for pair, rep in cases:
+        table = h_table(pair, rep)
+        for g in moves:
+            moved = h_table(*pencil_moved(pair, rep, g))
+            assert [sp for sp, _ in moved[1:]] == [sp for sp, _ in table[1:]]
+            assert moved[2:] == table[2:]
+            ker1 = moved[1][1] + moved[0][0] - moved[0][1]
+            assert ker1 == table[1][1] + table[0][0] - table[0][1]
+            low_moved += moved[:2] != table[:2]
+    # the law is sharp: degree 0 and h_1 do move
+    assert low_moved > 0
 
 
 def test_euler_characteristic_of_complete_tables():

@@ -66,13 +66,13 @@ def test_validate_pair_trivial_cases():
 
 def test_each_bracket_keeps_its_jacobiator(monkeypatch):
     calls = []
-    compose = multilinear.nr_compose
+    scatter = multilinear._add_composition
 
-    def counted(p, q):
+    def counted(table, p, q, factor):
         calls.append((p.arity, q.arity))
-        return compose(p, q)
+        return scatter(table, p, q, factor)
 
-    monkeypatch.setattr(multilinear, "nr_compose", counted)
+    monkeypatch.setattr(multilinear, "_add_composition", counted)
     pair = rand_compatible_pair(Random(29), 4)
     # fresh brackets on the pair's tables, with nothing kept yet
     b1 = LieBracket.from_cochain(pair.bracket1.to_cochain())

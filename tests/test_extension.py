@@ -32,6 +32,7 @@ from compatlie.extension import (
 from compatlie.linalg import Matrix, is_zero_vec, vadd, vec, vscale, vsub
 from compatlie.multilinear import Cochain, ce_coboundary, nr_bracket
 from oracles import (
+    assemble_brackets_checked,
     assemble_brackets_entrywise,
     difference_equations_verdict,
     gauge_transform_fraction,
@@ -514,7 +515,9 @@ def test_build_extension_skips_the_second_validation():
 
 def test_assembled_brackets_equal_the_entrywise_assembly():
     # the tables filed from stored nonzeros equal those filed from every
-    # basis value, on random data and on data with zero parts
+    # basis value, on random data and on data with zero parts; stored
+    # unchecked, they equal the tables the validating Cochain constructor
+    # gives, in the same storage order with Fraction values and no zero
     rng = Random(229)
     data = [rand_datum(rng) for _ in range(60)] + action_and_derivation_data()
     data += fixed_cocycle_data()
@@ -527,17 +530,28 @@ def test_assembled_brackets_equal_the_entrywise_assembly():
     ]
     kinds = set()
     for datum in data:
-        assert assemble_brackets(datum) == assemble_brackets_entrywise(datum)
+        got = assemble_brackets(datum)
+        assert got == assemble_brackets_entrywise(datum)
+        for b, c in zip(got, assemble_brackets_checked(datum)):
+            items = list(b.to_cochain().coeffs.items())
+            assert items == list(c.to_cochain().coeffs.items())
+            assert all(type(x) is Fraction and x for _, x in items)
+        entries = [x for a in datum.rho + datum.mu for col in a.columns() for x in col]
+        fibre = datum.fibre
+        abelian_fibre = fibre.bracket1.is_zero() and fibre.bracket2.is_zero()
         kinds.add(
             (
                 datum.base.bracket1.is_zero(),
-                datum.fibre.bracket1.is_zero() and datum.fibre.bracket2.is_zero(),
+                abelian_fibre,
                 datum.omega1.is_zero() and datum.omega2.is_zero(),
                 all(a.is_zero() for a in datum.rho + datum.mu),
+                # a nonzero action with zero entries, on either kind of fibre
+                (abelian_fibre, 0 in entries and any(entries)),
             )
         )
     for part in range(4):
         assert {k[part] for k in kinds} == {True, False}
+    assert {(True, True), (False, True)} <= {k[4] for k in kinds}
 
 
 def test_jacobi_failure_of_base_or_fibre_is_internal():

@@ -28,6 +28,7 @@ from oracles import (
     lift_rep,
     lift_side2_bracket,
     module_component,
+    nr_bracket_fraction,
     nr_compose_fraction,
     nr_compose_unshuffle_sum,
     perm_sign,
@@ -166,6 +167,110 @@ def test_nr_compose_equals_the_fraction_scatter():
         pair = rand_compatible_pair(rng, dim)
         p1, p2 = pair.bracket1.to_cochain(), pair.bracket2.to_cochain()
         assert same(p1, p2) == same(p2, p1).scale(-1)
+
+
+def test_nr_bracket_equals_the_fraction_brackets():
+    # one integer table per bracket against the rational sum
+    # nr_compose_fraction(p, q) - (-1)^{pq} nr_compose_fraction(q, p):
+    # equal cochains in lexicographic storage order, Fraction values and
+    # no stored zero, on the shape mix of the composition's test
+    def same(p, q):
+        got, want = nr_bracket(p, q), nr_bracket_fraction(p, q)
+        assert got == want
+        assert list(got.coeffs.items()) == list(want.coeffs.items())
+        assert all(type(c) is Fraction and c for c in got.coeffs.values())
+        return got
+
+    rng = Random(67)
+    big = 2**80
+    seen = set()
+    for _ in range(40):
+        dim = rng.randint(1, 8)
+        top = 3 if dim <= 5 else 2
+        a, b = rng.randint(0, top), rng.randint(0, top)
+        density = rng.choice((0.2, 0.6, 1.0))
+        p = rand_cochain(rng, a, dim, density=density)
+        q = rand_cochain(rng, b, dim, density=density)
+        p = Cochain(
+            a, dim, dim, {key: c / rng.randint(1, 6) for key, c in p.coeffs.items()}
+        )
+        huge = Cochain(
+            a,
+            dim,
+            dim,
+            {
+                key: Fraction(big + rng.randint(-9, 9), big - rng.randint(1, 9)) * c
+                for key, c in p.coeffs.items()
+            },
+        )
+        for x, y in (
+            (p, q),
+            (q, p),
+            (p, p),  # p is q: one scatter, doubled in odd degree
+            (huge, huge),
+            (huge, q),
+            (q, huge),
+            (p, Cochain.zero(b, dim, dim)),
+            (Cochain.zero(a, dim, dim), q),
+        ):
+            got = same(x, y)
+            seen.add((x is y, (x.arity - 1) * (y.arity - 1) % 2, got.is_zero()))
+    # a self-bracket of either parity, and nonzero brackets of distinct
+    # operands in both parities
+    assert {(True, 0, True), (True, 1, False)} <= seen
+    assert {(False, 0, False), (False, 1, False)} <= seen
+    # a Lie bracket's Jacobiator and a compatible pair's mixed bracket
+    # vanish: every scattered term cancels in the one table
+    base = direct_sum(sl2(), heisenberg3())
+    dense = base.conjugate(rand_invertible(Random(3), 6))
+    for pi in (base.to_cochain(), dense.to_cochain()):
+        assert same(pi, pi).coeffs == {}
+    for dim in (3, 4):
+        pair = rand_compatible_pair(rng, dim)
+        p1, p2 = pair.bracket1.to_cochain(), pair.bracket2.to_cochain()
+        assert same(p1, p2).coeffs == {}
+
+
+def test_cochain_rejects_each_malformed_entry():
+    # each distinct subset is checked once, but a malformed entry still
+    # raises today's message, also after a valid entry with its subset;
+    # zero entries are dropped unchecked
+    valid = {((0, 1), 0): 1}
+    cases = [
+        (((1, 0), 0), "subset (1, 0) is not increasing of size 2"),
+        (((0, 0), 0), "subset (0, 0) is not increasing of size 2"),
+        (((0,), 0), "subset (0,) is not increasing of size 2"),
+        (((0, 1, 2), 0), "subset (0, 1, 2) is not increasing of size 2"),
+        (((0, 3), 0), "index out of range"),
+        (((-1, 1), 0), "index out of range"),
+        (((0, 1), 3), "index out of range"),
+        (((0, 1), -1), "index out of range"),
+        (((1, 2), 5), "index out of range"),
+    ]
+    for key, message in cases:
+        for coeffs in ({key: 2}, {**valid, key: 2}, {((1, 2), 1): 1, **valid, key: 2}):
+            with pytest.raises(ValueError) as err:
+                Cochain(2, 3, 3, coeffs)
+            assert str(err.value) == message, (key, coeffs)
+        assert Cochain(2, 3, 3, {**valid, key: 0}) == Cochain(2, 3, 3, valid)
+
+    # list subsets are read as tuples
+    class Items:
+        def __init__(self, items):
+            self._items = items
+
+        def items(self):
+            return self._items
+
+    listed = Cochain(
+        2, 3, 3, Items([(([0, 1], 0), 1), (([0, 1], 2), Fraction(1, 2)), (([1, 2], 1), 3)])
+    )
+    assert list(listed.coeffs) == [((0, 1), 0), ((0, 1), 2), ((1, 2), 1)]
+    assert listed == Cochain(
+        2, 3, 3, {((0, 1), 0): 1, ((0, 1), 2): Fraction(1, 2), ((1, 2), 1): 3}
+    )
+    with pytest.raises(ValueError, match="index out of range"):
+        Cochain(2, 3, 3, Items([(([0, 1], 0), 1), (([0, 1], 3), 1)]))
 
 
 def test_nr_compose_with_a_warm_merge_memo_equals_the_fraction_scatter():
@@ -413,13 +518,13 @@ def test_even_degree_self_bracket_composes_nothing(monkeypatch):
     # [P, P] = P.P - P.P vanishes in even degree (odd arity) and is returned
     # without composing; odd degree composes once
     calls = []
-    compose = multilinear.nr_compose
+    scatter = multilinear._add_composition
 
-    def counted(p, q):
+    def counted(table, p, q, factor):
         calls.append((p.arity, q.arity))
-        return compose(p, q)
+        return scatter(table, p, q, factor)
 
-    monkeypatch.setattr(multilinear, "nr_compose", counted)
+    monkeypatch.setattr(multilinear, "_add_composition", counted)
     rng = Random(19)
     for arity in range(5):
         p = rand_cochain(rng, arity, 3)
