@@ -16,8 +16,11 @@ report), 2 usage or parse errors, 3 an internal consistency check failed
 
 The json and csv formats are byte-identical across runs on identical
 input: every ordering is fixed and no timing information is included
-(text output carries a timing line for humans).  Every csv row has four
-fields; fields holding a comma or a quote are quoted (`csv.writer`).
+(text output carries a timing line for humans).  JSON is written by
+`_write_json` as `json.dumps(sort_keys=True, indent=2)` would write it;
+each key layout of a report's dicts (the depth and the keys, which the
+rows of a table share) is sorted and encoded once.  Every csv row has
+four fields; fields holding a comma or a quote are quoted (`csv.writer`).
 """
 
 from __future__ import annotations
@@ -89,17 +92,23 @@ def _verdict_entry(name: str, v: Verdict) -> dict:
 
 
 def _entry_rows(entries) -> list[dict]:
-    """Table rows of 0-based ((i, j, k), coefficient) entries, 1-based."""
+    """Table rows of 0-based ((i, j, k), Fraction coefficient) entries,
+    1-based."""
     return [
-        {"label": "entry", "i": i + 1, "j": j + 1, "k": k + 1, "coeff": _fr(c)}
+        {"label": "entry", "i": i + 1, "j": j + 1, "k": k + 1, "coeff": str(c)}
         for (i, j, k), c in entries
     ]
 
 
-def _write_json(value, newline: str, out: list[str]):
+def _write_json(value, newline: str, out: list[str], heads: dict):
     """Append the report schema (dicts with str keys, lists, str, int, bool)
     as `json.dumps(value, sort_keys=True, indent=2)` writes it; `newline` is
-    the line break and indent before a closing bracket at this depth."""
+    the line break and indent before a closing bracket at this depth.
+    `heads` holds, per key layout met in this report (the depth and the
+    keys in insertion order), the sorted keys with the text before each
+    value, so the many table rows of one layout sort and encode their keys
+    once (a key that is not a str fails to sort or to encode with
+    TypeError); a dict's str and int values are written in place."""
     if type(value) is str:
         out.append(encode_basestring_ascii(value))
     elif value is True:
@@ -113,15 +122,23 @@ def _write_json(value, newline: str, out: list[str]):
             out.append("{}")
             return
         inner = newline + "  "
-        sep, comma = "{" + inner, "," + inner  # one string per container
-        for key in sorted(value):
-            if type(key) is not str:
-                raise TypeError(f"report keys are str, not {type(key).__name__}")
-            out.append(sep)
-            out.append(encode_basestring_ascii(key))
-            out.append(": ")
-            _write_json(value[key], inner, out)
-            sep = comma
+        layout = (newline, *value)
+        keyed = heads.get(layout)
+        if keyed is None:
+            sep, keyed = "{" + inner, []
+            for key in sorted(value):
+                keyed.append((key, sep + encode_basestring_ascii(key) + ": "))
+                sep = "," + inner
+            heads[layout] = keyed
+        for key, head in keyed:
+            out.append(head)
+            item = value[key]
+            if type(item) is str:
+                out.append(encode_basestring_ascii(item))
+            elif type(item) is int:
+                out.append(str(item))
+            else:
+                _write_json(item, inner, out, heads)
         out.append(newline + "}")
     elif type(value) is list:
         if not value:
@@ -131,7 +148,7 @@ def _write_json(value, newline: str, out: list[str]):
         sep, comma = "[" + inner, "," + inner
         for item in value:
             out.append(sep)
-            _write_json(item, inner, out)
+            _write_json(item, inner, out, heads)
             sep = comma
         out.append(newline + "]")
     else:
@@ -165,7 +182,7 @@ class Report:
 
     def to_json(self) -> str:
         out: list[str] = []
-        _write_json(self.data, "\n", out)
+        _write_json(self.data, "\n", out, {})
         out.append("\n")
         return "".join(out)
 

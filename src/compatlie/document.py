@@ -34,6 +34,14 @@ Coefficients are rationals: optional sign, digits, optional /digits.
 Omitted rho/mu matrices default to zero.  Parsing is strict: out-of-range
 indices, duplicate entries, malformed or zero-denominator rationals are
 reported with their line number.
+
+Each distinct coefficient and index token is converted once per document:
+entry and `row:` lines take the memo's values when every token was seen
+before, and a new rational is built from its two integers.  The blocks of
+a parsed document are checked for shape, range, order and duplicates, so
+the converters (`bracket1`, `rep_pair`, `op_matrix`, `cochain`, ...) build
+their objects without a second check; `tests/oracles.parse_reference` is
+the token-at-a-time parser this one is tested against.
 """
 
 from __future__ import annotations
@@ -60,27 +68,52 @@ _HEADER = re.compile(r"^\[([a-z0-9]+)(?:\s+(\S+))?\]$")
 
 
 def _rational(tok: str, line: int, seen: dict) -> Fraction:
-    """`seen` holds the tokens of this document already converted; only
-    successes are stored, so an error names the line the token fails on."""
-    c = seen.get(tok)
-    if c is None:
-        if not _RATIONAL.match(tok):
-            raise ParseError(line, f"malformed rational {tok!r}")
-        if "/" in tok and int(tok.split("/")[1]) == 0:
-            raise ParseError(line, f"zero denominator in {tok!r}")
-        c = seen[tok] = Fraction(tok)
+    """Check a token not yet in `seen` (this document's converted tokens)
+    and convert it from its two integers; only successes are stored, so an
+    error names the line the token fails on."""
+    if not _RATIONAL.match(tok):
+        raise ParseError(line, f"malformed rational {tok!r}")
+    num, _, den = tok.partition("/")
+    if not den:
+        c = Fraction(int(num))
+    elif int(den) == 0:
+        raise ParseError(line, f"zero denominator in {tok!r}")
+    else:
+        c = Fraction(int(num), int(den))
+    seen[tok] = c
     return c
 
 
-def _integer(tok: str, line: int, message: str, seen: dict, least: int = 0) -> int:
-    """ASCII digits only: str.isdigit passes superscripts that int() rejects.
-    `seen` is keyed by (token, least), as `_rational`'s is by token."""
-    n = seen.get((tok, least))
-    if n is None:
-        if not _INTEGER.match(tok) or int(tok) < least:
-            raise ParseError(line, message)
-        n = seen[tok, least] = int(tok)
-    return n
+def _row(toks, line: int, seen: dict) -> tuple:
+    """The rationals of a `row:` line's tokens, taken from `seen` when all
+    were converted before."""
+    try:
+        return tuple(map(seen.__getitem__, toks))
+    except KeyError:
+        return tuple(seen[t] if t in seen else _rational(t, line, seen) for t in toks)
+
+
+def _integer(tok: str, line: int, message: str, least: int = 0) -> int:
+    """ASCII digits only: str.isdigit passes superscripts that int() rejects."""
+    if not _INTEGER.match(tok) or int(tok) < least:
+        raise ParseError(line, message)
+    return int(tok)
+
+
+def _entry(toks, line: int, message: str, indices: dict, rationals: dict):
+    """((i, j, k), coeff) of an entry line `i j k coeff`, each token taken
+    from the document's memo (`indices`, `rationals`) when converted
+    before; `message` reports a malformed index."""
+    i, j, k, c = toks
+    try:
+        return (indices[i], indices[j], indices[k]), rationals[c]
+    except KeyError:
+        pass
+    for t in (i, j, k):
+        if t not in indices:
+            indices[t] = _integer(t, line, message)
+    c = rationals[c] if c in rationals else _rational(c, line, rationals)
+    return (indices[i], indices[j], indices[k]), c
 
 
 class CochainBlock(_Record):
@@ -121,6 +154,7 @@ class AlgebraDocument(_Record):
         _set(self, "cochains", cochains)  # ((name, CochainBlock), ...) sorted by name
 
     # -- converters to library objects --------------------------------------
+    # the blocks are as `parse` checked them, so nothing is checked again
 
     def bracket1(self) -> LieBracket:
         return _bracket(self.dim, self.pi1)
@@ -137,7 +171,7 @@ class AlgebraDocument(_Record):
         m = self.rep.module_dim
 
         def mat(rows):
-            return Matrix.zeros(m, m) if rows is None else Matrix(rows)
+            return Matrix.zeros(m, m) if rows is None else Matrix._raw(rows, m, m)
 
         return RepPair(
             m,
@@ -148,33 +182,36 @@ class AlgebraDocument(_Record):
     def op_matrix(self, name: str) -> Matrix:
         for n, rows in self.ops:
             if n == name:
-                return Matrix(rows)
+                return Matrix._raw(rows, len(rows), len(rows[0]))
         raise KeyError(f"no operator block named {name!r}")
 
     def cochain(self, name: str) -> Cochain:
         for n, block in self.cochains:
             if n == name:
-                coeffs = {
-                    ((i - 1, j - 1), k - 1): c for (i, j, k, c) in block.entries
-                }
-                return Cochain(2, block.source_dim, block.target_dim, coeffs)
+                return _cochain(block.source_dim, block.target_dim, block.entries)
         raise KeyError(f"no cochain block named {name!r}")
 
     def has_cochain(self, name: str) -> bool:
         return any(n == name for n, _ in self.cochains)
 
 
+def _cochain(source_dim: int, target_dim: int, entries) -> Cochain:
+    """The arity-2 cochain of sorted 1-based entries, zeros dropped."""
+    coeffs = {((i - 1, j - 1), k - 1): c for (i, j, k, c) in entries if c}
+    return Cochain.unchecked(2, source_dim, target_dim, coeffs)
+
+
 def _bracket(dim, entries) -> LieBracket:
-    return LieBracket(dim, {(i - 1, j - 1, k - 1): c for (i, j, k, c) in entries})
+    return LieBracket.from_cochain(_cochain(dim, dim, entries))
 
 
 # -- parsing ---------------------------------------------------------------------
 
 
 def parse(text: str) -> AlgebraDocument:
-    # each distinct token is converted once per document
+    # each distinct coefficient and index token is converted once per document
     rationals: dict[str, Fraction] = {}
-    integers: dict[tuple[str, int], int] = {}
+    indices: dict[str, int] = {}
     dim = None
     pi: dict[str, dict] = {"pi1": {}, "pi2": {}}
     pi_lines: dict[str, dict] = {"pi1": {}, "pi2": {}}
@@ -192,10 +229,10 @@ def parse(text: str) -> AlgebraDocument:
 
     lines = text.splitlines()
     for ln, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
-        if line.startswith("["):
+        if line[0] == "[":
             m = _HEADER.match(line)
             if not m:
                 raise ParseError(ln, f"bad section header {line!r}")
@@ -242,30 +279,30 @@ def parse(text: str) -> AlgebraDocument:
                 if dim is not None:
                     raise ParseError(ln, "dim given twice")
                 msg = "dim must be a positive integer"
-                dim = _integer(toks[1], ln, msg, integers, 1)
+                dim = _integer(toks[1], ln, msg, 1)
             else:
                 raise ParseError(ln, f"unexpected line in [algebra]: {line!r}")
         elif kind in ("pi1", "pi2"):
             if len(toks) != 4:
                 raise ParseError(ln, "bracket entries are 'i j k coeff'")
             msg = "bracket indices must be positive integers"
-            i, j, k = (_integer(t, ln, msg, integers) for t in toks[:3])
-            c = _rational(toks[3], ln, rationals)
-            if (i, j, k) in pi[kind]:
-                raise ParseError(ln, f"duplicate entry for ({i}, {j}, {k})")
-            pi[kind][(i, j, k)] = c
-            pi_lines[kind][(i, j, k)] = ln
+            key, c = _entry(toks, ln, msg, indices, rationals)
+            entries = pi[kind]
+            if key in entries:
+                raise ParseError(ln, f"duplicate entry for {key}")
+            entries[key] = c
+            pi_lines[kind][key] = ln
         elif kind == "rep":
             if toks[0] == "dim" and len(toks) == 2:
                 if rep_dim is not None:
                     raise ParseError(ln, "module dim given twice")
                 msg = "module dim must be a positive integer"
-                rep_dim = _integer(toks[1], ln, msg, integers, 1)
+                rep_dim = _integer(toks[1], ln, msg, 1)
             elif toks[0] in ("rho", "mu") and len(toks) == 2:
                 if rep_dim is None:
                     raise ParseError(ln, "module dim must come first in [rep]")
                 msg = f"{toks[0]} needs an algebra index"
-                idx = _integer(toks[1], ln, msg, integers)
+                idx = _integer(toks[1], ln, msg)
                 key = (toks[0], idx)
                 if key in rep_mats:
                     raise ParseError(ln, f"duplicate matrix {toks[0]} {toks[1]}")
@@ -275,15 +312,13 @@ def parse(text: str) -> AlgebraDocument:
             elif toks[0] == "row:":
                 if current_matrix is None or current_matrix[0] != "rep":
                     raise ParseError(ln, "row outside a matrix block")
-                rep_mats[current_matrix[1]].append(
-                    tuple(_rational(t, ln, rationals) for t in toks[1:])
-                )
+                rep_mats[current_matrix[1]].append(_row(toks[1:], ln, rationals))
             else:
                 raise ParseError(ln, f"unexpected line in [rep]: {line!r}")
         elif kind == "op":
             if toks[0] != "row:":
                 raise ParseError(ln, "operator blocks contain only 'row:' lines")
-            ops[name].append(tuple(_rational(t, ln, rationals) for t in toks[1:]))
+            ops[name].append(_row(toks[1:], ln, rationals))
         elif kind == "cochain":
             block = cochain_raw[name]
             if toks[0] in ("dim", "target") and len(toks) == 2:
@@ -292,28 +327,28 @@ def parse(text: str) -> AlgebraDocument:
                 if block[toks[0]] is not None:
                     raise ParseError(ln, f"{toks[0]} given twice")
                 msg = f"{toks[0]} must be a positive integer"
-                block[toks[0]] = _integer(toks[1], ln, msg, integers, 1)
+                block[toks[0]] = _integer(toks[1], ln, msg, 1)
             else:
                 msg = "cochain entries are 'i j k coeff'"
                 if len(toks) != 4:
                     raise ParseError(ln, msg)
-                i, j, k = (_integer(t, ln, msg, integers) for t in toks[:3])
-                c = _rational(toks[3], ln, rationals)
-                if (i, j, k) in block["entries"]:
-                    raise ParseError(ln, f"duplicate entry for ({i}, {j}, {k})")
-                block["entries"][(i, j, k)] = c
-                block["lines"][(i, j, k)] = ln
+                key, c = _entry(toks, ln, msg, indices, rationals)
+                entries = block["entries"]
+                if key in entries:
+                    raise ParseError(ln, f"duplicate entry for {key}")
+                entries[key] = c
+                block["lines"][key] = ln
 
     if dim is None:
         raise ParseError(len(lines) or 1, "missing [algebra] section with dim")
 
     # range validation now that dim is known
     for sect in ("pi1", "pi2"):
-        for (i, j, k), c in pi[sect].items():
-            ln = pi_lines[sect][(i, j, k)]
+        for i, j, k in pi[sect]:
             if not 1 <= i < j <= dim or not 1 <= k <= dim:
                 raise ParseError(
-                    ln, f"index ({i}, {j}, {k}) out of range for dim {dim} (need i < j)"
+                    pi_lines[sect][i, j, k],
+                    f"index ({i}, {j}, {k}) out of range for dim {dim} (need i < j)",
                 )
 
     rep = None
@@ -352,11 +387,10 @@ def parse(text: str) -> AlgebraDocument:
         block = cochain_raw[name]
         source = block["dim"] if block["dim"] is not None else dim
         target = block["target"] if block["target"] is not None else dim
-        for (i, j, k), c in block["entries"].items():
-            ln = block["lines"][(i, j, k)]
+        for i, j, k in block["entries"]:
             if not 1 <= i < j <= source or not 1 <= k <= target:
                 raise ParseError(
-                    ln,
+                    block["lines"][i, j, k],
                     f"index ({i}, {j}, {k}) out of range for "
                     f"source {source}, target {target}",
                 )

@@ -11,7 +11,8 @@ Every rank, kernel, image, solve and basis completion comes from one
 elimination, `_eliminate`: Gauss-Jordan on integer rows (each row cleared
 of denominators and kept primitive, fraction-free in the manner of
 Bareiss).  `Matrix.rref` builds the Fractions of the whole reduced form
-once at the end; `Matrix.solve` eliminates the augmented rows and builds
+once at the end; `Matrix.solve` clears only the nonzero entries of the
+augmented rows, drops the all-zero ones, eliminates the rest and builds
 only the Fractions of the solution.  The rational Gauss-Jordan they
 replaced is the test reference (`tests/oracles.py`).
 
@@ -311,14 +312,28 @@ class Matrix:
         """One exact solution of Mx = b, or None if inconsistent.
 
         The augmented rows [M | b] are eliminated on integers as in `rref`;
-        b is consistent unless its column becomes a pivot.  The solution
-        is 0 at every free column and row[-1] / row[c] at the pivot column
-        c of each pivot row, the last column of the unique RREF, so only
-        those Fractions are built."""
+        b is consistent unless its column becomes a pivot.  Only the
+        nonzero entries of a row are cleared, and an all-zero augmented row
+        is dropped: it is a zero row of the RREF and holds no pivot.  The
+        solution is 0 at every free column and row[-1] / row[c] at the
+        pivot column c of each pivot row, the last column of the unique
+        RREF, so only those Fractions are built."""
         if len(b) != self.rows:
             raise ValueError("right-hand side has wrong length")
-        a = [_primitive(cleared((*r, x))[1]) for r, x in zip(self._a, b)]
-        pivots = _eliminate(a, self.cols + 1)
+        width = self.cols + 1
+        a = []
+        for r, x in zip(self._a, b):
+            terms = [(j, y) for j, y in enumerate(r) if y]
+            if x:
+                terms.append((self.cols, x))
+            if terms:
+                _, nums = cleared([y for _, y in terms])
+                g = gcd(*nums)
+                row = [0] * width
+                for (j, _), v in zip(terms, nums):
+                    row[j] = v // g
+                a.append(row)
+        pivots = _eliminate(a, width)
         if pivots and pivots[-1] == self.cols:
             return None
         x = [Fraction(0)] * self.cols

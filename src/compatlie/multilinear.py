@@ -9,7 +9,9 @@ Sums run on one integer core.  A cochain keeps its values as integer rows
 over one denominator (`Cochain.integer_rows`, cleared by `linalg.cleared`
 on first use); `add_value` adds a cochain's value on vectors given by their
 integer terms, at any arity; `Cochain.from_integer_values` turns a finished
-integer table into a cochain, building each nonzero Fraction once.
+integer table into a cochain, building each nonzero Fraction once, and
+keeps the table, divided by the gcd of its denominator and values, as the
+cochain's integer rows, so a cochain built from integers is never cleared.
 `eval_vectors`, `nr_compose` and the closed forms of `deformation` and
 `extension` are written with these three (the rational sums are the test
 oracles `eval_vectors_fraction`, `nr_compose_fraction` and
@@ -26,9 +28,10 @@ cochains only.  `_add_composition` files P's rows once per slot and adds
 each whole signed row of P wherever an entry of Q meets it, with one merge
 sign per (entry, filed row).  `nr_bracket` scatters P.Q and -(-1)^{pq} Q.P
 into one integer table (P.P once with factor 2 when P is Q in odd degree,
-nothing in even degree) and builds its Fractions once; `nr_compose` is a
-single composition.  `Cochain` checks each distinct subset of its table
-once, and `Cochain.unchecked` takes a table already in stored form.  Module
+nothing in even degree) and builds its Fractions once, with no second
+check of the table's subsets; `nr_compose` is a single composition.
+`Cochain` checks each distinct subset of its table once, and
+`Cochain.unchecked` takes a table already in stored form.  Module
 coefficients enter the library through the Chevalley-Eilenberg arm
 matrices of `cohomology.ce_matrix`; `ce_coboundary` is the per-subset sum
 they are tested against.  The lifts to a direct sum that carry module
@@ -40,7 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import comb, prod
+from math import comb, gcd, prod
 
 from .linalg import Matrix, Vec, cleared, frac, is_zero_vec, vadd, vscale, vzero
 
@@ -87,8 +90,9 @@ class Cochain:
     """Alternating p-linear map stored as {(increasing subset, target index):
     coefficient}; zero entries are never stored.  Arity 0 is a plain target
     vector filed under the empty subset.  A cochain is immutable: `coeffs`
-    is never mutated after construction, so tables derived from it on
-    first use (`integer_rows`) are kept for the cochain's lifetime."""
+    is never mutated after construction, so tables derived from it
+    (`integer_rows`, on first use or kept from the integers it was built
+    from) stay valid for the cochain's lifetime."""
 
     __slots__ = ("arity", "source_dim", "target_dim", "coeffs", "_rows")
 
@@ -134,18 +138,41 @@ class Cochain:
         cls, arity, source_dim, target_dim, den: int, values
     ) -> "Cochain":
         """values: mapping increasing subset -> {target index: integer},
-        read as integers over the one denominator `den`.  Each nonzero
-        Fraction is built once and stored in lexicographic (subset, target)
-        order."""
-        coeffs = {}
-        for subset in sorted(values):
+        read as integers over the one denominator `den`; every subset and
+        target is checked.  See `_from_integer_table`."""
+        for subset, row in values.items():
             _check_subset(subset, arity, source_dim)
-            for k, v in sorted(values[subset].items()):
-                if v:
-                    if not 0 <= k < target_dim:
-                        raise ValueError("index out of range")
+            for k, v in row.items():
+                if v and not 0 <= k < target_dim:
+                    raise ValueError("index out of range")
+        return cls._from_integer_table(arity, source_dim, target_dim, den, values)
+
+    @classmethod
+    def _from_integer_table(
+        cls, arity, source_dim, target_dim, den: int, values
+    ) -> "Cochain":
+        """`from_integer_values` on a table whose subsets are increasing
+        and in range and whose targets are in range by construction.  Each
+        nonzero Fraction is built once and stored in lexicographic
+        (subset, target) order, and the table is kept as the cochain's
+        `integer_rows`: reduced by g, the gcd of `den` and every value,
+        it is (den / g, {subset: ((k, v / g), ...)}), which is what
+        clearing the built Fractions gives."""
+        coeffs = {}
+        rows = {}
+        g = den
+        for subset in sorted(values):
+            row = tuple([(k, v) for k, v in sorted(values[subset].items()) if v])
+            if row:
+                rows[subset] = row
+                for k, v in row:
                     coeffs[(subset, k)] = Fraction(v, den)
-        return cls.unchecked(arity, source_dim, target_dim, coeffs)
+                    g = gcd(g, v)
+        if g > 1:
+            rows = {s: tuple([(k, v // g) for k, v in row]) for s, row in rows.items()}
+        f = cls.unchecked(arity, source_dim, target_dim, coeffs)
+        f._rows = den // g, rows
+        return f
 
     @classmethod
     def unchecked(cls, arity, source_dim, target_dim, coeffs) -> "Cochain":
@@ -394,7 +421,7 @@ def _from_table(p: Cochain, q: Cochain, table: dict) -> Cochain:
     Q, read over L_p L_q."""
     n, arity = p.source_dim, max(p.arity + q.arity - 1, 0)
     den = p.integer_rows()[0] * q.integer_rows()[0]
-    return Cochain.from_integer_values(arity, n, n, den, table)
+    return Cochain._from_integer_table(arity, n, n, den, table)
 
 
 def nr_compose(p: Cochain, q: Cochain) -> Cochain:

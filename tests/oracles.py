@@ -14,11 +14,13 @@ on every index tuple), the rational scatters the integer `nr_compose` and
 re-checked assembly of the direct-sum brackets, the staircase and
 hand-expanded forms of the deformation checks, and the rational sums the
 integer gauge transform, Nijenhuis torsion and equivalence layers
-replaced, and the `json.dumps` call the fixed-schema report writer
-replaced.  Nothing in `compatlie` imports this module.
+replaced, the `json.dumps` call the fixed-schema report writer
+replaced, and the token-at-a-time document parser (`parse_reference`).
+Nothing in `compatlie` imports this module.
 """
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -36,6 +38,7 @@ from compatlie.core import (
     first_failure,
 )
 from compatlie.deformation import DeformationDatum
+from compatlie.document import AlgebraDocument, CochainBlock, ParseError, RepBlock
 from compatlie.extension import ExtensionDatum, assemble_brackets
 from compatlie.linalg import Matrix, frac, is_zero_vec, vadd, vscale, vsub, vzero
 from compatlie.multilinear import Cochain, nr_bracket, sort_with_sign
@@ -898,3 +901,246 @@ def report_json_reference(data) -> str:
     """A report's JSON as the standard library's encoder writes it: the
     reference for `Report.to_json`."""
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+# -- the document parser ----------------------------------------------------------
+
+_RATIONAL = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
+_INTEGER = re.compile(r"^[0-9]+$")
+_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_HEADER = re.compile(r"^\[([a-z0-9]+)(?:\s+(\S+))?\]$")
+
+
+def _rational_reference(tok: str, line: int, seen: dict) -> Fraction:
+    """`seen` holds the tokens of this document already converted; only
+    successes are stored, so an error names the line the token fails on."""
+    c = seen.get(tok)
+    if c is None:
+        if not _RATIONAL.match(tok):
+            raise ParseError(line, f"malformed rational {tok!r}")
+        if "/" in tok and int(tok.split("/")[1]) == 0:
+            raise ParseError(line, f"zero denominator in {tok!r}")
+        c = seen[tok] = Fraction(tok)
+    return c
+
+
+def _integer_reference(
+    tok: str, line: int, message: str, seen: dict, least: int = 0
+) -> int:
+    """ASCII digits only: str.isdigit passes superscripts that int() rejects.
+    `seen` is keyed by (token, least), as `_rational_reference`'s is by token."""
+    n = seen.get((tok, least))
+    if n is None:
+        if not _INTEGER.match(tok) or int(tok) < least:
+            raise ParseError(line, message)
+        n = seen[tok, least] = int(tok)
+    return n
+
+
+def parse_reference(text: str) -> AlgebraDocument:
+    """The token-at-a-time parser `document.parse` replaced: every token
+    through `_rational_reference` / `_integer_reference` and every block
+    built after the whole text is read."""
+    # each distinct token is converted once per document
+    rationals: dict[str, Fraction] = {}
+    integers: dict[tuple[str, int], int] = {}
+    dim = None
+    pi: dict[str, dict] = {"pi1": {}, "pi2": {}}
+    pi_lines: dict[str, dict] = {"pi1": {}, "pi2": {}}
+    rep_dim = None
+    rep_line = 0
+    rep_mats: dict[tuple[str, int], list] = {}
+    rep_mat_lines: dict[tuple[str, int], int] = {}
+    ops: dict[str, list] = {}
+    op_lines: dict[str, int] = {}
+    cochain_raw: dict[str, dict] = {}
+    seen_sections: set[str] = set()
+
+    section = None  # ("algebra" | "pi1" | "pi2" | "rep" | "op" | "cochain", name)
+    current_matrix = None  # key into rep_mats / ops while rows are collected
+
+    lines = text.splitlines()
+    for ln, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("["):
+            m = _HEADER.match(line)
+            if not m:
+                raise ParseError(ln, f"bad section header {line!r}")
+            kind, name = m.group(1), m.group(2)
+            if kind in ("algebra", "pi1", "pi2", "rep"):
+                if name is not None:
+                    raise ParseError(ln, f"section [{kind}] takes no name")
+                if kind in seen_sections:
+                    raise ParseError(ln, f"duplicate section [{kind}]")
+                seen_sections.add(kind)
+                section = (kind, None)
+                if kind == "rep":
+                    rep_line = ln
+            elif kind in ("op", "cochain"):
+                if name is None or not _NAME.match(name):
+                    raise ParseError(ln, f"section [{kind}] needs a valid name")
+                store = ops if kind == "op" else cochain_raw
+                if name in store:
+                    raise ParseError(ln, f"duplicate section [{kind} {name}]")
+                if kind == "op":
+                    ops[name] = []
+                    op_lines[name] = ln
+                    current_matrix = ("op", name)
+                else:
+                    cochain_raw[name] = {
+                        "dim": None,
+                        "target": None,
+                        "entries": {},
+                        "lines": {},
+                        "line": ln,
+                    }
+                section = (kind, name)
+            else:
+                raise ParseError(ln, f"unknown section [{kind}]")
+            if kind != "op":
+                current_matrix = None
+            continue
+        if section is None:
+            raise ParseError(ln, "content before the first section header")
+        kind, name = section
+        toks = line.split()
+        if kind == "algebra":
+            if toks[0] == "dim" and len(toks) == 2:
+                if dim is not None:
+                    raise ParseError(ln, "dim given twice")
+                msg = "dim must be a positive integer"
+                dim = _integer_reference(toks[1], ln, msg, integers, 1)
+            else:
+                raise ParseError(ln, f"unexpected line in [algebra]: {line!r}")
+        elif kind in ("pi1", "pi2"):
+            if len(toks) != 4:
+                raise ParseError(ln, "bracket entries are 'i j k coeff'")
+            msg = "bracket indices must be positive integers"
+            i, j, k = (_integer_reference(t, ln, msg, integers) for t in toks[:3])
+            c = _rational_reference(toks[3], ln, rationals)
+            if (i, j, k) in pi[kind]:
+                raise ParseError(ln, f"duplicate entry for ({i}, {j}, {k})")
+            pi[kind][(i, j, k)] = c
+            pi_lines[kind][(i, j, k)] = ln
+        elif kind == "rep":
+            if toks[0] == "dim" and len(toks) == 2:
+                if rep_dim is not None:
+                    raise ParseError(ln, "module dim given twice")
+                msg = "module dim must be a positive integer"
+                rep_dim = _integer_reference(toks[1], ln, msg, integers, 1)
+            elif toks[0] in ("rho", "mu") and len(toks) == 2:
+                if rep_dim is None:
+                    raise ParseError(ln, "module dim must come first in [rep]")
+                msg = f"{toks[0]} needs an algebra index"
+                idx = _integer_reference(toks[1], ln, msg, integers)
+                key = (toks[0], idx)
+                if key in rep_mats:
+                    raise ParseError(ln, f"duplicate matrix {toks[0]} {toks[1]}")
+                rep_mats[key] = []
+                rep_mat_lines[key] = ln
+                current_matrix = ("rep", key)
+            elif toks[0] == "row:":
+                if current_matrix is None or current_matrix[0] != "rep":
+                    raise ParseError(ln, "row outside a matrix block")
+                rep_mats[current_matrix[1]].append(
+                    tuple(_rational_reference(t, ln, rationals) for t in toks[1:])
+                )
+            else:
+                raise ParseError(ln, f"unexpected line in [rep]: {line!r}")
+        elif kind == "op":
+            if toks[0] != "row:":
+                raise ParseError(ln, "operator blocks contain only 'row:' lines")
+            ops[name].append(
+                tuple(_rational_reference(t, ln, rationals) for t in toks[1:])
+            )
+        elif kind == "cochain":
+            block = cochain_raw[name]
+            if toks[0] in ("dim", "target") and len(toks) == 2:
+                if block["entries"]:
+                    raise ParseError(ln, f"{toks[0]} must precede the entries")
+                if block[toks[0]] is not None:
+                    raise ParseError(ln, f"{toks[0]} given twice")
+                msg = f"{toks[0]} must be a positive integer"
+                block[toks[0]] = _integer_reference(toks[1], ln, msg, integers, 1)
+            else:
+                msg = "cochain entries are 'i j k coeff'"
+                if len(toks) != 4:
+                    raise ParseError(ln, msg)
+                i, j, k = (_integer_reference(t, ln, msg, integers) for t in toks[:3])
+                c = _rational_reference(toks[3], ln, rationals)
+                if (i, j, k) in block["entries"]:
+                    raise ParseError(ln, f"duplicate entry for ({i}, {j}, {k})")
+                block["entries"][(i, j, k)] = c
+                block["lines"][(i, j, k)] = ln
+
+    if dim is None:
+        raise ParseError(len(lines) or 1, "missing [algebra] section with dim")
+
+    # range validation now that dim is known
+    for sect in ("pi1", "pi2"):
+        for (i, j, k), c in pi[sect].items():
+            ln = pi_lines[sect][(i, j, k)]
+            if not 1 <= i < j <= dim or not 1 <= k <= dim:
+                raise ParseError(
+                    ln, f"index ({i}, {j}, {k}) out of range for dim {dim} (need i < j)"
+                )
+
+    rep = None
+    if "rep" in seen_sections:
+        if rep_dim is None:
+            raise ParseError(rep_line, "[rep] section is missing its dim")
+        for (which, idx), rows in rep_mats.items():
+            at = rep_mat_lines[(which, idx)]
+            if not 1 <= idx <= dim:
+                raise ParseError(at, f"{which} {idx} out of range for dim {dim}")
+            if len(rows) != rep_dim or any(len(r) != rep_dim for r in rows):
+                raise ParseError(
+                    at, f"{which} {idx} must be a {rep_dim}x{rep_dim} matrix"
+                )
+        rho = tuple(
+            tuple(rep_mats[("rho", i + 1)]) if ("rho", i + 1) in rep_mats else None
+            for i in range(dim)
+        )
+        mu = tuple(
+            tuple(rep_mats[("mu", i + 1)]) if ("mu", i + 1) in rep_mats else None
+            for i in range(dim)
+        )
+        rep = RepBlock(rep_dim, rho, mu)
+
+    op_items = []
+    for name in sorted(ops):
+        rows = ops[name]
+        if not rows:
+            raise ParseError(op_lines[name], f"operator block {name!r} has no rows")
+        if any(len(r) != len(rows[0]) for r in rows):
+            raise ParseError(op_lines[name], f"operator block {name!r} has ragged rows")
+        op_items.append((name, tuple(rows)))
+
+    cochain_items = []
+    for name in sorted(cochain_raw):
+        block = cochain_raw[name]
+        source = block["dim"] if block["dim"] is not None else dim
+        target = block["target"] if block["target"] is not None else dim
+        for (i, j, k), c in block["entries"].items():
+            ln = block["lines"][(i, j, k)]
+            if not 1 <= i < j <= source or not 1 <= k <= target:
+                raise ParseError(
+                    ln,
+                    f"index ({i}, {j}, {k}) out of range for "
+                    f"source {source}, target {target}",
+                )
+        entries = tuple(
+            (i, j, k, c) for (i, j, k), c in sorted(block["entries"].items())
+        )
+        cochain_items.append((name, CochainBlock(source, target, entries)))
+
+    return AlgebraDocument(
+        dim=dim,
+        pi1=tuple((i, j, k, c) for (i, j, k), c in sorted(pi["pi1"].items())),
+        pi2=tuple((i, j, k, c) for (i, j, k), c in sorted(pi["pi2"].items())),
+        rep=rep,
+        ops=tuple(op_items),
+        cochains=tuple(cochain_items),
+    )

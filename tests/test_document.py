@@ -4,8 +4,11 @@ from random import Random
 
 import pytest
 
+from compatlie.core import LieBracket, RepPair
 from compatlie.document import AlgebraDocument, CochainBlock, ParseError, parse, render
-from compatlie.linalg import vec
+from compatlie.linalg import Matrix, vec
+from compatlie.multilinear import Cochain
+from oracles import parse_reference
 from support import rand_document
 
 DATA = Path(__file__).parent / "data"
@@ -179,9 +182,9 @@ def test_non_ascii_digits_in_rationals_are_parse_errors():
         assert "malformed rational" in err.value.message
 
 
-# Each distinct token is converted once per document.  A token's integer
-# value is kept per lower bound, and a token that failed is never kept, so
-# the memo changes no message and no line number.
+# Each distinct coefficient and index token is converted once per
+# document.  Dims are read past the memo, and a token that failed is never
+# kept, so the memo changes no message and no line number.
 MEMO_ERRORS = [
     (
         "dim 0 after an index 0",
@@ -312,3 +315,169 @@ def test_mutated_fixtures_fail_only_with_parse_errors():
                 doc.op_matrix(name)
             assert parse(render(doc)) == doc
     assert parsed >= 500 and refused >= 500
+
+
+# -- parity with the token-at-a-time parser ------------------------------------
+
+# tokens a mutation substitutes: zeros and signs, a leading-zero
+# denominator, a zero denominator, non-ASCII digits that str.isdigit or
+# int() accept, and malformed rationals
+PARITY_TOKENS = (
+    "0", "-0", "+0", "00", "+3/04", "-7/12", "0/5", "1/0", "-2/00", "+5",
+    "-2", "12", "²", "١", "１", "1/²", "x", "1/", "/2", "4/-2", "3.5", "dim",
+    "row:",
+)
+
+
+def token_mutations(text: str, rng: Random, count: int):
+    """`count` seeded variants of `text` by whole tokens and lines: a token
+    replaced, dropped or added (ragged rows, short entries), a line
+    duplicated, dropped (missing dims) or moved."""
+    lines = text.splitlines()
+    for _ in range(count):
+        out = list(lines)
+        for _ in range(rng.randint(1, 3)):
+            if not out:
+                break
+            at = rng.randrange(len(out))
+            toks = out[at].split()
+            kind = rng.randrange(6)
+            if kind == 0 and toks:
+                toks[rng.randrange(len(toks))] = rng.choice(PARITY_TOKENS)
+                out[at] = " ".join(toks)
+            elif kind == 1 and toks:
+                del toks[rng.randrange(len(toks))]
+                out[at] = " ".join(toks)
+            elif kind == 2:
+                toks.insert(rng.randint(0, len(toks)), rng.choice(PARITY_TOKENS))
+                out[at] = " ".join(toks)
+            elif kind == 3:
+                out.insert(rng.randint(0, len(out)), out[at])
+            elif kind == 4:
+                del out[at]
+            else:
+                out.insert(rng.randint(0, len(out) - 1), out.pop(at))
+        yield "\n".join(out) + "\n"
+
+
+def parse_outcome(parser, text):
+    try:
+        return parser(text)
+    except ParseError as e:
+        return ("ParseError", e.line, e.message)
+
+
+def test_parse_equals_the_reference_parser_on_mutated_documents():
+    # the memo hits, the integer conversion of a new rational and the
+    # deferred range checks give the reference parser's document, or its
+    # ParseError with the same line and message; repr also compares the
+    # value types (Fraction, never int)
+    rng = Random(331)
+    texts = [path.read_text() for path in sorted(DATA.glob("*.alg"))]
+    texts += [render(rand_document(rng)) for _ in range(40)]
+    parsed, refused, messages, accepted = 0, 0, set(), set()
+    for text in texts:
+        variants = [*token_mutations(text, rng, 30), *mutations(text, rng, 20)]
+        for variant in [text, *variants]:
+            got = parse_outcome(parse, variant)
+            expected = parse_outcome(parse_reference, variant)
+            assert got == expected and repr(got) == repr(expected), variant
+            if isinstance(got, tuple):
+                refused += 1
+                messages.add(got[2].split(" ", 1)[0])
+            else:
+                parsed += 1
+                accepted.update(set(variant.split()) & set(PARITY_TOKENS))
+    assert parsed >= 400 and refused >= 1500
+    assert {"0", "-0", "+0", "00", "+3/04", "-7/12", "0/5", "+5"} <= accepted
+    # zero denominators, malformed rationals and indices, duplicates,
+    # ragged and short lines, missing dims and out-of-range indices
+    for head in ("zero", "malformed", "bracket", "cochain", "duplicate", "operator",
+                 "missing", "index", "rho", "mu"):
+        assert head in messages, head
+
+
+# -- converters: the validating constructors' objects, built unchecked ---------
+
+
+def with_zero_coefficients(doc: AlgebraDocument, rng: Random) -> AlgebraDocument:
+    """The document with about a third of its bracket and cochain entries'
+    coefficients set to 0 (a parsed `i j k 0` line)."""
+
+    def zeroed(entries):
+        return tuple(
+            (i, j, k, Fraction(0) if rng.random() < 0.35 else c)
+            for i, j, k, c in entries
+        )
+
+    cochains = tuple(
+        (name, CochainBlock(b.source_dim, b.target_dim, zeroed(b.entries)))
+        for name, b in doc.cochains
+    )
+    return AlgebraDocument(
+        doc.dim, zeroed(doc.pi1), zeroed(doc.pi2), doc.rep, doc.ops, cochains
+    )
+
+
+def validated_objects(doc: AlgebraDocument) -> dict:
+    """Every converter's object as the validating constructors build it."""
+
+    def bracket(entries):
+        coeffs = {(i - 1, j - 1, k - 1): c for i, j, k, c in entries}
+        return LieBracket(doc.dim, coeffs)
+
+    out = {"bracket1": bracket(doc.pi1), "bracket2": bracket(doc.pi2)}
+    if doc.rep is not None:
+        m = doc.rep.module_dim
+
+        def mats(blocks):
+            return tuple(Matrix.zeros(m, m) if r is None else Matrix(r) for r in blocks)
+
+        out["rep"] = RepPair(m, mats(doc.rep.rho), mats(doc.rep.mu))
+    for name, rows in doc.ops:
+        out["op", name] = Matrix(rows)
+    for name, b in doc.cochains:
+        coeffs = {((i - 1, j - 1), k - 1): c for i, j, k, c in b.entries}
+        out["cochain", name] = Cochain(2, b.source_dim, b.target_dim, coeffs)
+    return out
+
+
+def stored(f: Cochain) -> list:
+    return list(f.coeffs.items())
+
+
+def test_converters_equal_the_validating_constructors():
+    # the parser has checked shapes, ranges, order and duplicates, so the
+    # converters build through Matrix._raw and Cochain.unchecked; they must
+    # give the validating constructors' objects, zeros dropped, in the
+    # same storage order
+    rng = Random(337)
+    docs = [parse(path.read_text()) for path in sorted(DATA.glob("*.alg"))]
+    docs += [rand_document(rng) for _ in range(40)]
+    docs += [with_zero_coefficients(doc, rng) for doc in docs]
+    zero_doc = parse("[algebra]\ndim 2\n[pi1]\n1 2 1 0\n1 2 2 -0/3\n[op Z]\nrow:\n")
+    docs.append(zero_doc)
+    zeros = 0
+    for doc in docs:
+        expected = validated_objects(doc)
+        got = {"bracket1": doc.bracket1(), "bracket2": doc.bracket2()}
+        if doc.rep is not None:
+            got["rep"] = doc.rep_pair()
+        for name, _ in doc.ops:
+            got["op", name] = doc.op_matrix(name)
+        for name, _ in doc.cochains:
+            got["cochain", name] = doc.cochain(name)
+        assert got == expected
+        for key in ("bracket1", "bracket2"):
+            assert stored(got[key].to_cochain()) == stored(expected[key].to_cochain())
+        for key, value in got.items():
+            if key[0] == "cochain":
+                assert stored(value) == stored(expected[key])
+            elif key[0] == "op":
+                assert value.shape() == expected[key].shape()
+        entries = doc.pi1 + doc.pi2
+        entries += tuple(e for _, b in doc.cochains for e in b.entries)
+        zeros += sum(1 for e in entries if e[3] == 0)
+    assert zeros >= 100
+    assert zero_doc.bracket1().is_zero()
+    assert zero_doc.op_matrix("Z").shape() == (1, 0)

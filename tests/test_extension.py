@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+from compatlie import linalg, multilinear
 from compatlie.core import (
     OK,
     CompatiblePair,
@@ -29,7 +30,15 @@ from compatlie.extension import (
     maurer_cartan_verdict,
     validate_extension_datum,
 )
-from compatlie.linalg import Matrix, is_zero_vec, vadd, vec, vscale, vsub
+from compatlie.linalg import (
+    Matrix,
+    integer_columns,
+    is_zero_vec,
+    vadd,
+    vec,
+    vscale,
+    vsub,
+)
 from compatlie.multilinear import Cochain, ce_coboundary, nr_bracket
 from oracles import (
     assemble_brackets_checked,
@@ -552,6 +561,68 @@ def test_assembled_brackets_equal_the_entrywise_assembly():
     for part in range(4):
         assert {k[part] for k in kinds} == {True, False}
     assert {(True, True), (False, True)} <= {k[4] for k in kinds}
+
+
+def cleared_copy_rows(f: Cochain):
+    """The rows clearing f's Fractions gives: `integer_rows` of an
+    unchecked copy of its table."""
+    copy = Cochain.unchecked(f.arity, f.source_dim, f.target_dim, dict(f.coeffs))
+    return copy.integer_rows()
+
+
+def refuse_clearing(values):
+    raise AssertionError("a kept integer form was cleared again")
+
+
+def test_assembled_and_moved_brackets_keep_the_rows_clearing_gives(monkeypatch):
+    # the assembled brackets file their parts' integer rows, and the gauge
+    # transform keeps its actions' integer columns and its cochains' rows:
+    # each equals what clearing the built Fractions gives, the moved
+    # datum's brackets are assembled with every clearing refused, and the
+    # theta check then clears only xi
+    rng = Random(349)
+    data = [rand_datum(rng) for _ in range(20)] + action_and_derivation_data()
+    data += [
+        heisenberg_datum(),
+        semidirect_n2_datum(),
+        product_datum(abelian(2), abelian(3)),
+        product_datum(rand_compatible_pair(rng, 3), rand_compatible_pair(rng, 2)),
+    ]
+    data += [
+        wide_datum(rng, rng.randint(1, 3), rng.randint(1, 3), kind)
+        for kind in ("zero", "random", "dense")
+        for _ in range(4)
+    ]
+    kinds = set()
+    for datum in data:
+        n, m = datum.base_dim, datum.fibre_dim
+        for b in datum.brackets:
+            assert b.to_cochain().integer_rows() == cleared_copy_rows(b.to_cochain())
+        for xi in (Matrix.zeros(m, n), rand_matrix(rng, m, n)):
+            moved = gauge_transform(datum, xi)
+            assert moved.action_columns == (
+                integer_columns(*moved.rho),
+                integer_columns(*moved.mu),
+            )
+            with monkeypatch.context() as mp:
+                mp.setattr(multilinear, "cleared", refuse_clearing)
+                mp.setattr(linalg, "cleared", refuse_clearing)
+                rows = [b.to_cochain().integer_rows() for b in moved.brackets]
+            with monkeypatch.context() as mp:
+                mp.setattr(multilinear, "cleared", refuse_clearing)
+                assert _theta_intertwines(datum, moved, xi) == OK
+            for b, kept in zip(moved.brackets, rows):
+                assert kept == cleared_copy_rows(b.to_cochain())
+            fibre = datum.fibre
+            kinds.add(
+                (
+                    fibre.bracket1.is_zero() and fibre.bracket2.is_zero(),
+                    all(a.is_zero() for a in moved.rho + moved.mu),
+                    moved.omega1.is_zero(),
+                )
+            )
+    for part in range(3):
+        assert {k[part] for k in kinds} == {True, False}
 
 
 def test_jacobi_failure_of_base_or_fibre_is_internal():

@@ -343,3 +343,44 @@ def test_rref_kernel_and_solve_equal_the_rational_gauss_jordan():
             if x is not None:
                 assert m.matvec(x) == b
                 assert all(x[c] == 0 for c in free)
+
+
+def with_zero_rows_and_columns(m: Matrix, rng: Random) -> Matrix:
+    """m with zero rows and zero columns inserted at seeded places."""
+    rows = [list(m.row(i)) for i in range(m.rows)]
+    cols = m.cols + rng.randint(1, 3)
+    for width in range(m.cols, cols):
+        at = rng.randint(0, width)
+        for r in rows:
+            r.insert(at, Fraction(0))
+    for _ in range(rng.randint(1, 3)):
+        rows.insert(rng.randint(0, len(rows)), [Fraction(0)] * cols)
+    return Matrix._raw(tuple(map(tuple, rows)), len(rows), cols)
+
+
+def test_solve_on_zero_rows_and_columns_equals_the_rational_gauss_jordan():
+    # solve clears only nonzero entries and drops all-zero augmented rows;
+    # on systems padded with zero rows and zero columns it gives the
+    # oracle's solution, and a zero coefficient row with a nonzero
+    # right-hand side makes the system inconsistent
+    rng = Random(353)
+    outcomes = set()
+    for m in rref_cases():
+        padded = with_zero_rows_and_columns(m, rng)
+        zero_rows = [i for i in range(padded.rows) if not any(padded.row(i))]
+        inside = padded.matvec(rand_rhs(rng, padded.cols))
+        outside = rand_rhs(rng, padded.rows)
+        # nonzero only at one zero coefficient row
+        lone = [Fraction(0)] * padded.rows
+        lone[rng.choice(zero_rows)] = Fraction(rng.choice((-5, 3)), 7)
+        for b in (inside, outside, tuple(lone), (Fraction(0),) * padded.rows):
+            x = padded.solve(b)
+            assert x == solve_fraction(padded, b)
+            if any(b[i] for i in zero_rows):
+                assert x is None
+            outcomes.add(x is None)
+    assert outcomes == {True, False}
+    assert Matrix.zeros(2, 3).solve(vec([0, 0])) == vec([0, 0, 0])
+    assert Matrix.zeros(2, 3).solve(vec([0, 1])) is None
+    assert Matrix.zeros(2, 0).solve(vec([0, 0])) == ()
+    assert Matrix.zeros(2, 0).solve(vec([1, 0])) is None

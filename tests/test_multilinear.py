@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from random import Random
 
 import pytest
@@ -321,6 +321,74 @@ def test_nr_compose_reads_the_operands_kept_integer_rows():
             rows, den, table = kept[id(f)]
             assert f.integer_rows() is rows
             assert rows[0] == den and rows[1] == table
+
+
+def cleared_copy_rows(f: Cochain):
+    """The rows clearing f's Fractions gives: `integer_rows` of an
+    unchecked copy of its table."""
+    copy = Cochain.unchecked(f.arity, f.source_dim, f.target_dim, dict(f.coeffs))
+    return copy.integer_rows()
+
+
+def refuse_clearing(values):
+    raise AssertionError("an integer-built cochain was cleared again")
+
+
+def test_integer_built_cochains_keep_the_rows_clearing_gives(monkeypatch):
+    # from_integer_values and the NR scatters keep their table, reduced by
+    # the gcd of the denominator and every value, as the cochain's integer
+    # rows: equal to clearing the built Fractions, in the same order, and
+    # read with every clearing refused
+    rng = Random(347)
+    cases = [
+        (2, 3, 12, {}),
+        (2, 3, 12, {(0, 1): {0: 0, 2: 0}}),
+        # the denominator shares 6 with every value; targets out of order
+        (2, 3, 12, {(1, 2): {1: 30}, (0, 1): {2: -18, 0: 6}}),
+        (2, 3, 8, {(0, 2): {1: -4, 0: 12, 2: 0}}),
+        (1, 2, 1, {(1,): {0: -3}}),
+        (0, 2, 5, {(): {1: 10, 0: -5}}),
+        (3, 4, 7, {(0, 1, 3): {2: 5}, (0, 1, 2): {1: -7, 0: 0}}),
+    ]
+    for _ in range(60):
+        dim, arity = rng.randint(1, 5), rng.randint(0, 3)
+        common = rng.choice((1, 2, 3, 6, 35))
+        den = common * rng.choice((1, 2, 5, 12, 2**70 + 1))
+        subsets = list(combinations(range(dim), arity))
+        values = {
+            s: {
+                k: common * rng.randint(-9, 9)
+                for k in rng.sample(range(dim), rng.randint(0, dim))
+            }
+            for s in rng.sample(subsets, rng.randint(0, len(subsets)))
+        }
+        cases.append((arity, dim, den, values))
+    built = [Cochain.from_integer_values(a, n, n, den, v) for a, n, den, v in cases]
+    for _ in range(30):
+        dim = rng.randint(1, 5)
+        p = rand_cochain(rng, rng.randint(0, 3), dim, density=rng.choice((0.3, 1.0)))
+        q = rand_cochain(rng, rng.randint(0, 3), dim, density=rng.choice((0.3, 1.0)))
+        p = Cochain(
+            p.arity,
+            dim,
+            dim,
+            {key: c / rng.randint(1, 6) for key, c in p.coeffs.items()},
+        )
+        p.integer_rows(), q.integer_rows()
+        built += [nr_bracket(p, q), nr_bracket(p, p), nr_compose(q, p)]
+    expected = [cleared_copy_rows(f) for f in built]
+    reduced = 0
+    with monkeypatch.context() as mp:
+        mp.setattr(multilinear, "cleared", refuse_clearing)
+        for f, want, case in zip(built, expected, cases + [None] * len(built)):
+            assert f.integer_rows() == want
+            for row, want_row in zip(f.integer_rows()[1].values(), want[1].values()):
+                assert type(row) is tuple and row == want_row
+            if case is not None and f.integer_rows()[0] != case[2]:
+                reduced += 1
+    assert reduced >= 10
+    assert expected[0] == (1, {}) and expected[1] == (1, {})
+    assert expected[2] == (2, {(0, 1): ((0, 1), (2, -3)), (1, 2): ((1, 5),)})
 
 
 def test_add_value_equals_the_fraction_sums():

@@ -10,7 +10,11 @@ draws them for the seed, through each CLI's `main(argv)`.  On every job
 the tree that runs first alternates, and both runs must give the same exit
 code and the same stdout.  Prints the summed job time per kind (the job's
 family: the command kind on `verify-mix`) of each tree and the throughput
-ratio, A time over B time, so a ratio above 1 means B is faster.
+ratio, A time over B time, so a ratio above 1 means B is faster.  Then,
+per twin (sparse and dense), each tree's p50: the median over the job runs
+of that twin of the per-job time, as `bench/run.py` reads
+`sparse_job_p50_s` and `dense_job_p50_s` (in seconds here, not reference
+seconds), and the ratio B p50 over A p50, below 1 when B is faster.
 
 Nothing under `bench/` is run or changed: only the input generator
 `bench/generate.py` is imported, and the jobs' input files are written to
@@ -25,6 +29,7 @@ import importlib
 import io
 import os
 import shutil
+import statistics
 import sys
 import tempfile
 import time
@@ -47,10 +52,12 @@ def run_job(cli, argv) -> tuple[float, int, str]:
     return time.perf_counter() - start, code, out.getvalue()
 
 
-def compare(cli_a, cli_b, jobs, repeat: int) -> dict[str, list[float]]:
-    """{kind: [A seconds, B seconds, jobs]} over `repeat` passes; raises
-    AssertionError on the first job whose exit code or stdout differ."""
+def compare(cli_a, cli_b, jobs, repeat: int):
+    """({kind: [A seconds, B seconds, jobs]}, {twin: ([A job seconds],
+    [B job seconds])}) over `repeat` passes; raises AssertionError on the
+    first job whose exit code or stdout differ."""
     per_kind: dict[str, list[float]] = {}
+    per_twin: dict[str, tuple[list[float], list[float]]] = {}
     turn = 0
     for _ in range(repeat):
         for job in jobs:
@@ -70,7 +77,10 @@ def compare(cli_a, cli_b, jobs, repeat: int) -> dict[str, list[float]]:
             acc[0] += ta
             acc[1] += tb
             acc[2] += 1
-    return per_kind
+            times = per_twin.setdefault(job.twin, ([], []))
+            times[0].append(ta)
+            times[1].append(tb)
+    return per_kind, per_twin
 
 
 def main(argv=None) -> int:
@@ -98,7 +108,7 @@ def main(argv=None) -> int:
         cli_b = load_cli(args.b.resolve(), "compatlie_b", tmp_path)
         os.chdir(tmp_path)
         try:
-            per_kind = compare(cli_a, cli_b, jobs, args.repeat)
+            per_kind, per_twin = compare(cli_a, cli_b, jobs, args.repeat)
         finally:
             os.chdir(cwd)
     print(f"{args.workload} seed {args.seed}, {len(jobs)} jobs x {args.repeat}")
@@ -110,6 +120,12 @@ def main(argv=None) -> int:
         print(f"{kind:<20} {count:>5} {ta:>9.4f} {tb:>9.4f} {ta / tb:>7.3f}")
     print(f"{'all':<20} {'':>5} {total_a:>9.4f} {total_b:>9.4f} {total_a / total_b:>7.3f}")
     print(f"throughput ratio B/A: {total_a / total_b:.3f}")
+    for twin, (ta, tb) in sorted(per_twin.items()):
+        pa, pb = statistics.median(ta), statistics.median(tb)
+        print(
+            f"{twin} p50 ({len(ta)} runs): A {pa * 1e3:.4f} ms, "
+            f"B {pb * 1e3:.4f} ms, B/A {pb / pa:.3f}"
+        )
     return 0
 
 
