@@ -17,9 +17,8 @@ report), 2 usage or parse errors, 3 an internal consistency check failed
 The json and csv formats are byte-identical across runs on identical
 input: every ordering is fixed and no timing information is included
 (text output carries a timing line for humans).  JSON is written by
-`_write_json` as `json.dumps(sort_keys=True, indent=2)` would write it;
-each key layout of a report's dicts (the depth and the keys, which the
-rows of a table share) is sorted and encoded once.  Every csv row has
+`_write_json` as `json.dumps(sort_keys=True, indent=2)` would write it,
+with a dict's str and int values written in place.  Every csv row has
 four fields; fields holding a comma or a quote are quoted (`csv.writer`).
 """
 
@@ -100,15 +99,10 @@ def _entry_rows(entries) -> list[dict]:
     ]
 
 
-def _write_json(value, newline: str, out: list[str], heads: dict):
+def _write_json(value, newline: str, out: list[str]):
     """Append the report schema (dicts with str keys, lists, str, int, bool)
     as `json.dumps(value, sort_keys=True, indent=2)` writes it; `newline` is
-    the line break and indent before a closing bracket at this depth.
-    `heads` holds, per key layout met in this report (the depth and the
-    keys in insertion order), the sorted keys with the text before each
-    value, so the many table rows of one layout sort and encode their keys
-    once (a key that is not a str fails to sort or to encode with
-    TypeError); a dict's str and int values are written in place."""
+    the line break and indent before a closing bracket at this depth."""
     if type(value) is str:
         out.append(encode_basestring_ascii(value))
     elif value is True:
@@ -122,23 +116,21 @@ def _write_json(value, newline: str, out: list[str], heads: dict):
             out.append("{}")
             return
         inner = newline + "  "
-        layout = (newline, *value)
-        keyed = heads.get(layout)
-        if keyed is None:
-            sep, keyed = "{" + inner, []
-            for key in sorted(value):
-                keyed.append((key, sep + encode_basestring_ascii(key) + ": "))
-                sep = "," + inner
-            heads[layout] = keyed
-        for key, head in keyed:
-            out.append(head)
+        sep, comma = "{" + inner, "," + inner  # one string per container
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"report keys are str, not {type(key).__name__}")
+            out.append(sep)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
             item = value[key]
             if type(item) is str:
                 out.append(encode_basestring_ascii(item))
             elif type(item) is int:
                 out.append(str(item))
             else:
-                _write_json(item, inner, out, heads)
+                _write_json(item, inner, out)
+            sep = comma
         out.append(newline + "}")
     elif type(value) is list:
         if not value:
@@ -148,7 +140,7 @@ def _write_json(value, newline: str, out: list[str], heads: dict):
         sep, comma = "[" + inner, "," + inner
         for item in value:
             out.append(sep)
-            _write_json(item, inner, out, heads)
+            _write_json(item, inner, out)
             sep = comma
         out.append(newline + "]")
     else:
@@ -182,7 +174,7 @@ class Report:
 
     def to_json(self) -> str:
         out: list[str] = []
-        _write_json(self.data, "\n", out, {})
+        _write_json(self.data, "\n", out)
         out.append("\n")
         return "".join(out)
 

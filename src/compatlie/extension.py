@@ -28,13 +28,9 @@ summed on integers over one denominator per transformed cochain: xi and the
 actions are cleared once by `linalg.integer_columns` and applied by
 `linalg.add_image`, the brackets and the cochain are read from their
 `integer_rows` and evaluated by `multilinear.add_value`, and the new
-cochain is built by `Cochain.from_integer_values`.  The transform keeps its
-integer forms: the new actions' integer columns (`action_columns`) and the
-new cochains' rows, which `assemble_brackets` files next to the
-coefficients, so the theta check reads the moved datum's assembled
-brackets as integer rows that nothing clears again.  Two data give
-isomorphic extensions exactly when one is the transform of the other, and
-the transform agrees with re-extracting along the shifted section.  The lifted
+cochain is built by `Cochain.from_integer_values`; two data give isomorphic
+extensions exactly when one is the transform of the other, and the
+transform agrees with re-extracting along the shifted section.  The lifted
 elements, the twisted differentials, the graded and exponential-series
 forms of the gauge action and its rational sum are test references
 (`tests/oracles.py`).
@@ -44,7 +40,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 
 from .cohomology import CochainTuple, coboundary_preimage, staircase_coboundary
 from .core import (
@@ -107,14 +103,6 @@ class ExtensionDatum(_Record):
         once per datum: the Jacobiators, the CLI's bracket tables and the
         theta check all read them."""
         return assemble_brackets(self)
-
-    @cached_property
-    def action_columns(self) -> tuple[tuple[int, list], tuple[int, list]]:
-        """(`integer_columns(*rho)`, `integer_columns(*mu)`): the actions
-        cleared of denominators once per datum, read by the assembled
-        brackets and the gauge action; `gauge_transform` sets them on the
-        datum it builds from its integer tables."""
-        return integer_columns(*self.rho), integer_columns(*self.mu)
 
     @cached_property
     def jacobiators(self) -> tuple[Cochain, Cochain, Cochain]:
@@ -214,16 +202,12 @@ def assemble_brackets(datum: ExtensionDatum) -> tuple[LieBracket, LieBracket]:
     be tested in both directions).  Each table is filed from the stored
     nonzeros of the base bracket, the cochain, the action matrices and the
     fibre bracket, at shifted keys that stay increasing and in range, so
-    the parts, checked when they were built, are not checked again.  The
-    parts' integer rows (`integer_rows`, `action_columns`) are filed the
-    same way over the lcm of their denominators and kept as the table's
-    `integer_rows`, so the assembled Fractions are never cleared."""
+    the parts, checked when they were built, are not checked again."""
     g, h = datum.base, datum.fibre
     n, m = g.dim, h.dim
 
-    def build(g_br, h_br, act, w, act_cols):
-        gc, hc = g_br.to_cochain(), h_br.to_cochain()
-        coeffs = dict(gc.coeffs)
+    def build(g_br, h_br, act, w):
+        coeffs = dict(g_br.to_cochain().coeffs)
         for (ij, k), c in w.coeffs.items():
             coeffs[(ij, n + k)] = c
         for i, mat in enumerate(act):
@@ -231,34 +215,13 @@ def assemble_brackets(datum: ExtensionDatum) -> tuple[LieBracket, LieBracket]:
                 for a, c in enumerate(mat.row(k)):
                     if c:
                         coeffs[((i, n + a), n + k)] = c
-        for ((a, b), k), c in hc.coeffs.items():
+        for ((a, b), k), c in h_br.to_cochain().coeffs.items():
             coeffs[((n + a, n + b), n + k)] = c
-        (lg, grows), (lw, wrows), (lh, hrows) = (
-            f.integer_rows() for f in (gc, w, hc)
-        )
-        la, acols = act_cols
-        den = lcm(lg, lw, la, lh)
-        # the rows in the order clearing `coeffs` would give them
-        rows = {s: [(k, v * (den // lg)) for k, v in row] for s, row in grows.items()}
-        f = den // lw
-        for s, row in wrows.items():
-            rows.setdefault(s, []).extend([(n + k, v * f) for k, v in row])
-        f = den // la
-        for i, cols in enumerate(acols):
-            for a, col in enumerate(cols):
-                if col:
-                    rows[i, n + a] = [(n + k, v * f) for k, v in col]
-        f = den // lh
-        for (a, b), row in hrows.items():
-            rows[n + a, n + b] = [(n + k, v * f) for k, v in row]
-        c = Cochain.unchecked(2, n + m, n + m, coeffs)
-        c._rows = den, {s: tuple(row) for s, row in rows.items()}
-        return LieBracket.from_cochain(c)
+        return LieBracket.from_cochain(Cochain.unchecked(2, n + m, n + m, coeffs))
 
-    cols1, cols2 = datum.action_columns
     return (
-        build(g.bracket1, h.bracket1, datum.rho, datum.omega1, cols1),
-        build(g.bracket2, h.bracket2, datum.mu, datum.omega2, cols2),
+        build(g.bracket1, h.bracket1, datum.rho, datum.omega1),
+        build(g.bracket2, h.bracket2, datum.mu, datum.omega2),
     )
 
 
@@ -415,48 +378,32 @@ def gauge_transform(datum: ExtensionDatum, xi: Matrix) -> ExtensionDatum:
                    + [xi x, xi y]_h          (same with w2, {.,.})
 
     Summed on integers: xi and the actions are cleared of denominators
-    once (`integer_columns`, `action_columns`), the brackets and the
-    cochain are read from their `integer_rows`, each new entry is a sum of
-    integer products over one common denominator, and each nonzero
-    Fraction is built once.  The new actions' integer columns and the new
-    cochains' rows are kept on the result, so its assembled brackets clear
-    no Fraction.  The rational sum is the test reference
-    (`tests/oracles.py`)."""
+    once (`integer_columns`), the brackets and the cochain are read from
+    their `integer_rows`, each new entry is a sum of integer products over
+    one common denominator, and each nonzero Fraction is built once.  The
+    rational sum is the test reference (`tests/oracles.py`)."""
     g, h = datum.base, datum.fibre
     n, m = g.dim, h.dim
     if xi.shape() != (m, n):
         raise ValueError("xi must map the base to the fibre")
     lx, (xcols,) = integer_columns(xi)
 
-    def transform(act_cols, w, g_br, h_br):
-        la, acols = act_cols
+    def transform(act, w, g_br, h_br):
+        la, acols = integer_columns(*act)
         lh, hrows = h_br.to_cochain().integer_rows()
         # rho'(e_i) column a: rho(e_i) f_a + [xi e_i, f_a]_h, over d
         d = lcm(la, lx * lh)
-        fa, fh = d // la, d // (lx * lh)
         zero = Fraction(0)
-        new_act, new_cols = [], []
-        div = d
+        new_act = []
         for i in range(n):
             entries = [[zero] * m for _ in range(m)]
-            cols = []
             for a in range(m):
-                acc = {b: c * fa for b, c in acols[i][a]}
-                add_value(acc, hrows, (xcols[i], ((a, 1),)), fh)
-                col = sorted([(b, v) for b, v in acc.items() if v])
-                for b, v in col:
-                    entries[b][a] = Fraction(v, d)
-                    div = gcd(div, v)
-                cols.append(col)
+                acc = {b: c * (d // la) for b, c in acols[i][a]}
+                add_value(acc, hrows, (xcols[i], ((a, 1),)), d // (lx * lh))
+                for b, v in acc.items():
+                    if v:
+                        entries[b][a] = Fraction(v, d)
             new_act.append(Matrix._raw(tuple(map(tuple, entries)), m, m))
-            new_cols.append(cols)
-        # `integer_columns(*new_act)`: over d / div, the lcm of the
-        # denominators of the entries Fraction(v, d)
-        if div > 1:
-            new_cols = [
-                [[(b, v // div) for b, v in col] for col in cols] for cols in new_cols
-            ]
-        act_cols = d // div, new_cols
         # w'(e_i, e_j) over one denominator d for all five terms
         lg, grows = g_br.to_cochain().integer_rows()
         lw, wrows = w.integer_rows()
@@ -470,15 +417,11 @@ def gauge_transform(datum: ExtensionDatum, xi: Matrix) -> ExtensionDatum:
                 add_image(acc, xcols, grows.get((i, j), ()), -(d // (lg * lx)))
                 add_value(acc, hrows, (xcols[i], xcols[j]), d // (lx * lx * lh))
                 values[(i, j)] = acc
-        return tuple(new_act), act_cols, Cochain.from_integer_values(2, n, m, d, values)
+        return tuple(new_act), Cochain.from_integer_values(2, n, m, d, values)
 
-    cols1, cols2 = datum.action_columns
-    rho2, rho2_cols, w12 = transform(cols1, datum.omega1, g.bracket1, h.bracket1)
-    mu2, mu2_cols, w22 = transform(cols2, datum.omega2, g.bracket2, h.bracket2)
-    moved = ExtensionDatum(g, h, rho2, mu2, w12, w22)
-    # the cached property's value, stored where it would store it
-    _set(moved, "action_columns", (rho2_cols, mu2_cols))
-    return moved
+    rho2, w12 = transform(datum.rho, datum.omega1, g.bracket1, h.bracket1)
+    mu2, w22 = transform(datum.mu, datum.omega2, g.bracket2, h.bracket2)
+    return ExtensionDatum(g, h, rho2, mu2, w12, w22)
 
 
 def maurer_cartan_verdict(datum: ExtensionDatum) -> Verdict:

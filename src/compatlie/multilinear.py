@@ -28,10 +28,9 @@ cochains only.  `_add_composition` files P's rows once per slot and adds
 each whole signed row of P wherever an entry of Q meets it, with one merge
 sign per (entry, filed row).  `nr_bracket` scatters P.Q and -(-1)^{pq} Q.P
 into one integer table (P.P once with factor 2 when P is Q in odd degree,
-nothing in even degree) and builds its Fractions once, with no second
-check of the table's subsets; `nr_compose` is a single composition.
-`Cochain` checks each distinct subset of its table once, and
-`Cochain.unchecked` takes a table already in stored form.  Module
+nothing in even degree) and builds its Fractions once; `nr_compose` is a
+single composition.  `Cochain` checks each distinct subset of its table
+once, and `Cochain.unchecked` takes a table already in stored form.  Module
 coefficients enter the library through the Chevalley-Eilenberg arm
 matrices of `cohomology.ce_matrix`; `ce_coboundary` is the per-subset sum
 they are tested against.  The lifts to a direct sum that carry module
@@ -137,27 +136,12 @@ class Cochain:
     def from_integer_values(
         cls, arity, source_dim, target_dim, den: int, values
     ) -> "Cochain":
-        """values: mapping increasing subset -> {target index: integer},
-        read as integers over the one denominator `den`; every subset and
-        target is checked.  See `_from_integer_table`."""
-        for subset, row in values.items():
-            _check_subset(subset, arity, source_dim)
-            for k, v in row.items():
-                if v and not 0 <= k < target_dim:
-                    raise ValueError("index out of range")
-        return cls._from_integer_table(arity, source_dim, target_dim, den, values)
-
-    @classmethod
-    def _from_integer_table(
-        cls, arity, source_dim, target_dim, den: int, values
-    ) -> "Cochain":
-        """`from_integer_values` on a table whose subsets are increasing
-        and in range and whose targets are in range by construction.  Each
-        nonzero Fraction is built once and stored in lexicographic
-        (subset, target) order, and the table is kept as the cochain's
-        `integer_rows`: reduced by g, the gcd of `den` and every value,
-        it is (den / g, {subset: ((k, v / g), ...)}), which is what
-        clearing the built Fractions gives."""
+        """values: mapping increasing subset in range -> {target index in
+        range: integer}, read as integers over the one denominator `den`
+        (the callers' sums build no other table, so none is checked).  Each
+        nonzero Fraction is built once and stored in lexicographic (subset,
+        target) order; the table, reduced by g = gcd(den, values), is kept
+        as the cochain's `integer_rows`, which clearing would give."""
         coeffs = {}
         rows = {}
         g = den
@@ -421,7 +405,7 @@ def _from_table(p: Cochain, q: Cochain, table: dict) -> Cochain:
     Q, read over L_p L_q."""
     n, arity = p.source_dim, max(p.arity + q.arity - 1, 0)
     den = p.integer_rows()[0] * q.integer_rows()[0]
-    return Cochain._from_integer_table(arity, n, n, den, table)
+    return Cochain.from_integer_values(arity, n, n, den, table)
 
 
 def nr_compose(p: Cochain, q: Cochain) -> Cochain:
